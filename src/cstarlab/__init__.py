@@ -43,6 +43,7 @@ from .errors import (
     InvalidPointMap,
     InvalidSpace,
     InvalidSubset,
+    NonFinite,
     NormTooLarge,
     NotACharacter,
     NotContained,

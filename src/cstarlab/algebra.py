@@ -15,6 +15,7 @@ once at construction time.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     DecompositionFailure,
     InvalidPointMap,
     InvalidSubset,
+    NonFinite,
     NotNormal,
 )
 from .spaces import FiniteSpace
@@ -64,7 +66,7 @@ class CommutativeAlgebra:
                 f"expected {self.dim} coordinates, got {arr.shape[0]}"
             )
         if not np.all(np.isfinite(arr)):
-            raise ValueError("coordinates must be finite")
+            raise NonFinite("coordinates must be finite")
         return AlgebraElement(self, _readonly(arr.copy()))
 
     def unit(self) -> "AlgebraElement":
@@ -111,6 +113,8 @@ class FunctionAlgebra(CommutativeAlgebra):
         return f"C({{{','.join(self.space.points)}}})"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, FunctionAlgebra) and self.space == other.space
 
     def __hash__(self) -> int:
@@ -141,7 +145,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
             raise ValueError("generator must be a square matrix with n >= 1")
         if not np.all(np.isfinite(M)):
-            raise ValueError("generator entries must be finite")
+            raise NonFinite("generator entries must be finite")
         n = M.shape[0]
         Mstar = M.conj().T
         fro = float(np.linalg.norm(M))
@@ -166,11 +170,14 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
 
         reps, assign = dedup_points(eigs, eigenvalue_merge_tol)
         self.dimension_n = n
-        self.generator = _readonly(M.copy())
+        # adding 0.0 turns -0.0 into 0.0, so equal generators have equal bytes
+        self.generator = _readonly(np.add(M, 0.0, order="C"))
         self.eigenvalues = tuple(complex(v) for v in eigs)
         self.eigenvectors = _readonly(U)
         self.distinct_spectrum = SpectrumSet(reps, eigenvalue_merge_tol)
         self.multiplicity_map = assign
+        self._multiplicity_index = _readonly(np.asarray(assign, dtype=np.intp))
+        self._hash: int | None = None
         self.normality_defect = commutator_defect
         self.reconstruction_defect = recon_defect
         self.dim = len(reps)
@@ -189,7 +196,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         """Dense n-by-n form U diag(f(lambda)) U* of an element."""
         if a.algebra != self:
             raise AlgebraMismatch("element belongs to a different algebra")
-        diag = a.coords[np.asarray(self.multiplicity_map, dtype=int)]
+        diag = a.coords[self._multiplicity_index]
         U = self.eigenvectors
         return (U * diag) @ U.conj().T
 
@@ -204,15 +211,18 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
             raise ValueError("matrix has the wrong shape for this algebra")
         U = self.eigenvectors
         diag = np.diag(U.conj().T @ A @ U)
-        mult = np.asarray(self.multiplicity_map, dtype=int)
-        coords = np.zeros(self.dim, dtype=complex)
-        for k in range(self.dim):
-            coords[k] = diag[mult == k].mean()
+        mult = self._multiplicity_index
+        counts = np.bincount(mult, minlength=self.dim)
+        coords = np.empty(self.dim, dtype=complex)
+        coords.real = np.bincount(mult, diag.real, self.dim) / counts
+        coords.imag = np.bincount(mult, diag.imag, self.dim) / counts
         element = self.element(coords)
         residual = float(np.linalg.norm(self.materialize(element) - A))
         return element, residual
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, NormalGeneratorAlgebra)
             and self.dimension_n == other.dimension_n
@@ -221,7 +231,13 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         )
 
     def __hash__(self) -> int:
-        return hash(("NormalGeneratorAlgebra", self.dimension_n, self.generator.tobytes()))
+        if self._hash is None:
+            # blake2b reads the generator's buffer in place, without a bytes copy
+            digest = hashlib.blake2b(self.generator, digest_size=8).digest()
+            self._hash = hash(
+                ("NormalGeneratorAlgebra", self.distinct_spectrum.merge_tol, digest)
+            )
+        return self._hash
 
     def __repr__(self) -> str:
         return self.describe()

@@ -17,6 +17,8 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CstarError
 from .gelfand import characters, gelfand_transform
 from .ideals import ideal_from_closed_set, quotient
@@ -92,19 +94,22 @@ def run(config: RunConfig, out=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        if config.command == "spectrum":
-            return _cmd_spectrum(config, element, out)
-        if config.command == "classify":
-            return _cmd_classify(config, element, out)
-        if config.command == "characters":
-            return _cmd_characters(config, element, out)
-        if config.command == "calculus":
-            return _cmd_calculus(config, element, out)
-        return _cmd_quotient(config, element, out)
-    except CstarError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+    # a result that overflows raises NonFinite, a CstarError, so numpy's
+    # floating-point warnings would only repeat that message on stderr
+    with np.errstate(all="ignore"):
+        try:
+            if config.command == "spectrum":
+                return _cmd_spectrum(config, element, out)
+            if config.command == "classify":
+                return _cmd_classify(config, element, out)
+            if config.command == "characters":
+                return _cmd_characters(config, element, out)
+            if config.command == "calculus":
+                return _cmd_calculus(config, element, out)
+            return _cmd_quotient(config, element, out)
+        except CstarError as exc:
+            print(f"invalid input: {exc}", file=sys.stderr)
+            return 2
 
 
 def _cmd_spectrum(config: RunConfig, element, out) -> int:

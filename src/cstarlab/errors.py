@@ -117,5 +117,12 @@ class NotContained(CstarError):
         super().__init__(message)
 
 
+class NonFinite(CstarError, ValueError):
+    """A coordinate or generator entry was NaN or infinite, e.g. after overflow.
+
+    Also a :class:`ValueError`, so callers that catch that keep working.
+    """
+
+
 class InvalidDocument(CstarError):
     """An interchange document was malformed or inconsistent."""

@@ -44,7 +44,10 @@ def _as_complex(pair: Any, what: str) -> complex:
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
     ):
         raise InvalidDocument(f"{what} must be a [re, im] pair, got {pair!r}")
-    re, im = float(pair[0]), float(pair[1])
+    try:
+        re, im = float(pair[0]), float(pair[1])
+    except OverflowError:
+        raise InvalidDocument(f"{what} has an integer too large for a float") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise InvalidDocument(f"{what} must be finite, got {pair!r}")
     return complex(re, im)
@@ -61,7 +64,9 @@ def load_document(
     """Parse an interchange document into an element of its algebra."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers over the
+        # interpreter's digit limit; RecursionError covers deep nesting
         raise InvalidDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidDocument("document must be a JSON object")

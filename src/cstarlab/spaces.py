@@ -74,16 +74,6 @@ class ContinuousMap:
         object.__setattr__(self, "_image_indices", idx)
 
     @classmethod
-    def from_mapping(
-        cls, source: FiniteSpace, target: FiniteSpace, mapping: dict[str, str]
-    ) -> "ContinuousMap":
-        try:
-            assignment = tuple(mapping[p] for p in source.points)
-        except KeyError as exc:
-            raise InvalidPointMap(f"no image given for point {exc.args[0]!r}") from None
-        return cls(source, target, assignment)
-
-    @classmethod
     def identity(cls, space: FiniteSpace) -> "ContinuousMap":
         return cls(space, space, space.points)
 

@@ -15,11 +15,6 @@ import numpy as np
 DEFAULT_MERGE_TOL = 1e-9
 
 
-def canonical_order(values) -> list[complex]:
-    """Sort complex values by (real, imaginary) lexicographic order."""
-    return sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-
-
 def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[int, ...]]:
     """Greedy merge of near-coincident values in canonical order.
 
@@ -27,17 +22,28 @@ def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[i
     every input value, the index of the representative it merged into.
     Representatives are pairwise farther apart than ``merge_tol`` because a
     value only becomes a representative when no existing one is within
-    tolerance.
+    tolerance.  Among representatives within tolerance the nearest wins,
+    and on a tie the one added last.
+
+    Values are visited in (Re, Im) order, so representatives are appended
+    with nondecreasing real parts.  Once ``v.real - r.real > merge_tol``
+    for a visited value ``v``, ``abs(v - r)`` (at least that difference)
+    exceeds the tolerance for ``v`` and for every later value, so the sweep
+    drops ``r`` for good.  The cost is a sort plus one distance per pair of
+    value and representative whose real parts lie within ``merge_tol``.
     """
     vals = [complex(v) for v in values]
     order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
     reps: list[complex] = []
     assign = [0] * len(vals)
+    first = 0
     for i in order:
         v = vals[i]
+        while first < len(reps) and v.real - reps[first].real > merge_tol:
+            first += 1
         best, best_dist = -1, merge_tol
-        for k, r in enumerate(reps):
-            d = abs(v - r)
+        for k in range(first, len(reps)):
+            d = abs(v - reps[k])
             if d <= best_dist:
                 best, best_dist = k, d
         if best < 0:

@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstarlab.algebra
 from cstarlab import (
     AlgebraMismatch,
     ContinuousMap,
+    CstarError,
     FiniteSpace,
     FunctionAlgebra,
     InvalidPointMap,
     InvalidSpace,
+    NonFinite,
     NotNormal,
     StarHomomorphism,
     make_function_algebra,
     make_normal_generator_algebra,
     make_star_homomorphism,
+    neumann_inverse,
     restriction_homomorphism,
 )
 
@@ -102,6 +106,14 @@ def test_element_entries_must_be_finite():
     algebra = make_function_algebra(space_of(2))
     with pytest.raises(ValueError):
         algebra.element([1.0, float("inf")])
+
+
+def test_non_finite_values_raise_a_cstar_value_error():
+    assert issubclass(NonFinite, CstarError) and issubclass(NonFinite, ValueError)
+    with pytest.raises(NonFinite):
+        make_function_algebra(space_of(2)).element([1.0, float("nan")])
+    with pytest.raises(NonFinite):
+        make_normal_generator_algebra(np.diag([1.0, float("inf")]))
 
 
 def test_star_conjugates_values():
@@ -237,6 +249,53 @@ def test_project_matrix_round_trips():
     recovered, residual = algebra.project_matrix(algebra.materialize(a))
     assert residual <= 1e-12
     assert (recovered - a).norm() <= 1e-12
+
+
+def test_project_matrix_averages_each_cluster():
+    algebra = make_normal_generator_algebra(np.diag([1.0, 2.0, 2.0, 2.0]))
+    element, residual = algebra.project_matrix(np.diag([5.0, 1.0, 2.0 + 3j, 3.0]))
+    assert np.array_equal(element.coords, np.array([5.0, 2.0 + 1j]))
+    assert residual == pytest.approx(np.sqrt(2.0 + 4.0 + 2.0))
+
+
+def test_algebras_built_separately_from_one_matrix_interoperate():
+    M = np.array([[0.0, 1.0], [1.0, 0.0]])
+    A = make_normal_generator_algebra(M)
+    B = make_normal_generator_algebra(np.asfortranarray(M))
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert ((A.generator_element() + B.unit()) - B.generator_element()).norm() == 1.0
+    # -0.0 and 0.0 are equal entries, so the hashes must agree too
+    signed = make_normal_generator_algebra(np.array([[1.0, -0.0], [-0.0, 1.0]]))
+    plain = make_normal_generator_algebra(np.eye(2))
+    assert signed == plain and hash(signed) == hash(plain)
+
+
+def test_different_merge_tolerance_is_a_different_algebra():
+    M = np.diag([1.0, 2.0])
+    A = make_normal_generator_algebra(M)
+    C = make_normal_generator_algebra(M, eigenvalue_merge_tol=1e-6)
+    assert A != C
+    with pytest.raises(AlgebraMismatch):
+        A.unit() + C.unit()
+    with pytest.raises(AlgebraMismatch):
+        C.materialize(A.unit())
+
+
+def test_operations_never_compare_whole_generators(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 256
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    eigs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    algebra = make_normal_generator_algebra((Q * eigs) @ Q.conj().T)
+    a = algebra.generator_element() * (0.5 / algebra.generator_element().norm())
+
+    def whole_compare(*args, **kwargs):
+        raise AssertionError("an operation compared whole generators")
+
+    monkeypatch.setattr(cstarlab.algebra.np, "array_equal", whole_compare)
+    inverse, report = neumann_inverse(a, tol=1e-12)
+    assert report.terms_used > 10
+    assert ((algebra.unit() - a) * inverse - algebra.unit()).norm() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,34 @@ def test_invalid_documents_exit_2(capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+HUGE_INT = (
+    '{"kind": "normal_matrix", "n": 1, "entries": [[1' + "0" * 400 + ", 0]]}"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--inline", HUGE_INT],
+        ["calculus", "--inline", FUNC, "--coeffs", "nan"],
+        ["calculus", "--inline", FUNC, "--coeffs", ",".join(["1e308"] * 5)],
+        ["calculus", "--inline", DIAG123, "--coeffs", ",".join(["1e308"] * 5)],
+    ],
+    ids=["huge-int-document", "nan-coeffs", "overflow-functions", "overflow-matrix"],
+)
+def test_overflow_and_nan_exit_2_with_one_line(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cstarlab", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys):
     assert run_cli(command="spectrum", input_path="/no/such/file.json")[0] == 2
     assert "cannot read" in capsys.readouterr().err

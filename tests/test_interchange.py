@@ -87,6 +87,17 @@ def test_load_path_reads_files(tmp_path):
         '{"kind": "function_algebra", "points": [], "values": []}',
         '{"kind": "normal_matrix", "n": 2, "entries": [[0, 0]]}',
         '{"kind": "normal_matrix", "n": "two", "entries": []}',
+        # an integer that overflows a float, one past the interpreter's
+        # digit limit for int parsing, and nesting deeper than the recursion limit
+        pytest.param(
+            '{"kind": "normal_matrix", "n": 1, "entries": [[1' + "0" * 400 + ", 0]]}",
+            id="int-overflows-float",
+        ),
+        pytest.param(
+            '{"kind": "normal_matrix", "n": 1, "entries": [[1' + "0" * 5000 + ", 0]]}",
+            id="int-over-digit-limit",
+        ),
+        pytest.param("[" * 100_000, id="nesting-over-recursion-limit"),
     ],
 )
 def test_malformed_documents_are_rejected(text):

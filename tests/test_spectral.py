@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarlab import (
     DomainError,
@@ -59,6 +61,103 @@ def test_dedup_is_order_canonical():
     a, _ = dedup_points([2.0, 1.0, 1.0 + 5e-10], merge_tol=1e-9)
     b, _ = dedup_points([1.0 + 5e-10, 2.0, 1.0], merge_tol=1e-9)
     assert hausdorff_distance(a, b) <= 1e-9
+
+
+def greedy_dedup_oracle(values, merge_tol):
+    """The quadratic greedy merge that ``dedup_points`` must reproduce exactly."""
+    vals = [complex(v) for v in values]
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    reps = []
+    assign = [0] * len(vals)
+    for i in order:
+        v = vals[i]
+        best, best_dist = -1, merge_tol
+        for k, r in enumerate(reps):
+            d = abs(v - r)
+            if d <= best_dist:
+                best, best_dist = k, d
+        if best < 0:
+            reps.append(v)
+            best = len(reps) - 1
+        assign[i] = best
+    return tuple(reps), tuple(assign)
+
+
+def assert_matches_oracle(values, merge_tol):
+    got = dedup_points(values, merge_tol)
+    want = greedy_dedup_oracle(values, merge_tol)
+    assert got == want
+    # same representatives bit for bit, signed zeros included
+    assert [(math.copysign(1, z.real), math.copysign(1, z.imag)) for z in got[0]] == [
+        (math.copysign(1, z.real), math.copysign(1, z.imag)) for z in want[0]
+    ]
+
+
+@st.composite
+def clustered_values(draw):
+    """Clusters a few tolerances wide: many values near several representatives."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.3, 1.0]))
+    centers = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=6
+        )
+    )
+    offsets = st.floats(-1.5, 1.5, allow_nan=False)
+    values = []
+    for cx, cy in centers:
+        for dx, dy in draw(st.lists(st.tuples(offsets, offsets), min_size=1, max_size=8)):
+            values.append(complex((cx * 2 + dx) * tol, (cy * 2 + dy) * tol))
+    return draw(st.permutations(values)), tol
+
+
+@st.composite
+def grid_values(draw):
+    """Values on a grid of quarter tolerances, so exact distance ties are common."""
+    tol = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    cells = draw(
+        st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=40)
+    )
+    return [complex(a / 4, b / 4) for a, b in cells], tol
+
+
+@st.composite
+def ulp_gap_values(draw):
+    """Real parts that differ by merge_tol or by merge_tol moved one ulp either way."""
+    tol = draw(st.floats(1e-12, 10.0))
+    base = draw(st.floats(-100.0, 100.0))
+    reals = [base]
+    for _ in range(draw(st.integers(1, 6))):
+        step = draw(st.sampled_from([-math.inf, 0.0, math.inf]))
+        edge = reals[-1] + tol
+        reals.append(edge if step == 0.0 else math.nextafter(edge, step))
+    imags = st.sampled_from([0.0, -0.0, tol * 1e-3, -tol * 1e-3, tol / 2])
+    values = [complex(x, draw(imags)) for x in reals]
+    return draw(st.permutations(values)), tol
+
+
+@settings(max_examples=300)
+@given(clustered_values())
+def test_dedup_matches_greedy_oracle_on_clusters(case):
+    assert_matches_oracle(*case)
+
+
+@settings(max_examples=200)
+@given(grid_values())
+def test_dedup_matches_greedy_oracle_on_exact_ties(case):
+    assert_matches_oracle(*case)
+
+
+@settings(max_examples=200)
+@given(ulp_gap_values())
+def test_dedup_matches_greedy_oracle_at_one_ulp_real_gaps(case):
+    assert_matches_oracle(*case)
+
+
+def test_dedup_tie_goes_to_the_later_representative():
+    # 0.5+0.5j is exactly 1/sqrt(2) from both 0 and 1j; the later one wins
+    reps, assignment = dedup_points([0.0, 1j, 0.5 + 0.5j], merge_tol=0.75)
+    assert reps == (0j, 1j)
+    assert assignment == (0, 1, 1)
 
 
 def test_hausdorff_distance_known_values():
