@@ -15,7 +15,6 @@ once at construction time.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +175,6 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         self.eigenvectors = _readonly(U)
         self.distinct_spectrum = SpectrumSet(reps, eigenvalue_merge_tol)
         self.multiplicity_map = assign
-        self._multiplicity_index = _readonly(np.asarray(assign, dtype=np.intp))
-        self._hash: int | None = None
         self.normality_defect = commutator_defect
         self.reconstruction_defect = recon_defect
         self.dim = len(reps)
@@ -196,7 +193,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         """Dense n-by-n form U diag(f(lambda)) U* of an element."""
         if a.algebra != self:
             raise AlgebraMismatch("element belongs to a different algebra")
-        diag = a.coords[self._multiplicity_index]
+        diag = a.coords[np.asarray(self.multiplicity_map, dtype=int)]
         U = self.eigenvectors
         return (U * diag) @ U.conj().T
 
@@ -211,11 +208,10 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
             raise ValueError("matrix has the wrong shape for this algebra")
         U = self.eigenvectors
         diag = np.diag(U.conj().T @ A @ U)
-        mult = self._multiplicity_index
-        counts = np.bincount(mult, minlength=self.dim)
-        coords = np.empty(self.dim, dtype=complex)
-        coords.real = np.bincount(mult, diag.real, self.dim) / counts
-        coords.imag = np.bincount(mult, diag.imag, self.dim) / counts
+        mult = np.asarray(self.multiplicity_map, dtype=int)
+        coords = np.zeros(self.dim, dtype=complex)
+        for k in range(self.dim):
+            coords[k] = diag[mult == k].mean()
         element = self.element(coords)
         residual = float(np.linalg.norm(self.materialize(element) - A))
         return element, residual
@@ -231,13 +227,13 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            # blake2b reads the generator's buffer in place, without a bytes copy
-            digest = hashlib.blake2b(self.generator, digest_size=8).digest()
-            self._hash = hash(
-                ("NormalGeneratorAlgebra", self.distinct_spectrum.merge_tol, digest)
+        return hash(
+            (
+                "NormalGeneratorAlgebra",
+                self.distinct_spectrum.merge_tol,
+                self.generator.tobytes(),
             )
-        return self._hash
+        )
 
     def __repr__(self) -> str:
         return self.describe()

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CstarError
+from .errors import CstarError, NonFinite
 from .gelfand import characters, gelfand_transform
 from .ideals import ideal_from_closed_set, quotient
 from .interchange import document_to_json, dump_element, load_document, load_path
@@ -50,6 +51,13 @@ class RunConfig:
 def _fmt(z: complex) -> str:
     z = complex(z)
     return f"{z.real:.12g}{z.imag:+.12g}j"
+
+
+def _finite(value: float, what: str) -> float:
+    """``value`` unchanged, or NonFinite if it overflowed to inf or NaN."""
+    if not math.isfinite(value):
+        raise NonFinite(f"{what} is not finite")
+    return value
 
 
 def _emit(out, record: dict) -> None:
@@ -94,8 +102,9 @@ def run(config: RunConfig, out=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 
-    # a result that overflows raises NonFinite, a CstarError, so numpy's
-    # floating-point warnings would only repeat that message on stderr
+    # an overflowing element raises NonFinite in CommutativeAlgebra.element,
+    # and the norms and defects computed outside it are checked by _finite,
+    # so numpy's floating-point warnings would only repeat that message
     with np.errstate(all="ignore"):
         try:
             if config.command == "spectrum":
@@ -132,6 +141,8 @@ def _cmd_spectrum(config: RunConfig, element, out) -> int:
 
 def _cmd_classify(config: RunConfig, element, out) -> int:
     report = classify_element(element, config.tol)
+    for name, defect in report.witness_tolerances.items():
+        _finite(defect, f"{name} defect")
     if config.output_format == "structured":
         for name in sorted(report.flags):
             _emit(
@@ -226,6 +237,7 @@ def _cmd_quotient(config: RunConfig, element, out) -> int:
     ideal = ideal_from_closed_set(algebra, config.zero_set)
     q, projection = quotient(algebra, ideal)
     image = projection(element)
+    norm = _finite(q.quotient_norm(element), "quotient norm")
     if config.output_format == "structured":
         _emit(
             out,
@@ -233,7 +245,7 @@ def _cmd_quotient(config: RunConfig, element, out) -> int:
                 "kind": "quotient",
                 "dimension": q.dim,
                 "zero_set": list(q.space.points),
-                "norm": q.quotient_norm(element),
+                "norm": norm,
             },
         )
         _emit(out, dump_element(image))
@@ -243,7 +255,7 @@ def _cmd_quotient(config: RunConfig, element, out) -> int:
         out.write(
             "coset values: " + ", ".join(_fmt(v) for v in image.coords) + "\n"
         )
-        out.write(f"quotient norm: {q.quotient_norm(element):.12g}\n")
+        out.write(f"quotient norm: {norm:.12g}\n")
     return 0
 
 

@@ -126,6 +126,15 @@ HUGE_INT = (
     '{"kind": "normal_matrix", "n": 1, "entries": [[1' + "0" * 400 + ", 0]]}"
 )
 
+# every value is finite, but |1.7e308 + 1.7e308j| overflows to inf
+HUGE_MODULUS = json.dumps(
+    {
+        "kind": "function_algebra",
+        "points": ["p", "q"],
+        "values": [[1.7e308, 1.7e308], [1.0, 0.0]],
+    }
+)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -134,8 +143,17 @@ HUGE_INT = (
         ["calculus", "--inline", FUNC, "--coeffs", "nan"],
         ["calculus", "--inline", FUNC, "--coeffs", ",".join(["1e308"] * 5)],
         ["calculus", "--inline", DIAG123, "--coeffs", ",".join(["1e308"] * 5)],
+        ["quotient", "--inline", HUGE_MODULUS, "--zero-set", "p"],
+        ["quotient", "--inline", HUGE_MODULUS, "--zero-set", "p", "--format", "structured"],
     ],
-    ids=["huge-int-document", "nan-coeffs", "overflow-functions", "overflow-matrix"],
+    ids=[
+        "huge-int-document",
+        "nan-coeffs",
+        "overflow-functions",
+        "overflow-matrix",
+        "overflow-quotient-norm-text",
+        "overflow-quotient-norm-structured",
+    ],
 )
 def test_overflow_and_nan_exit_2_with_one_line(argv):
     proc = subprocess.run(
