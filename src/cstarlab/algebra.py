@@ -15,6 +15,7 @@ once at construction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,14 @@ __all__ = [
 
 DEFAULT_NORMALITY_TOL = 1e-10
 DEFAULT_EIGENVALUE_MERGE_TOL = 1e-8
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k for x >= 0, or inf where that leaves the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -146,12 +155,14 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         if not np.all(np.isfinite(M)):
             raise NonFinite("generator entries must be finite")
         n = M.shape[0]
-        Mstar = M.conj().T
-        fro = float(np.linalg.norm(M))
-        commutator_defect = float(np.linalg.norm(M @ Mstar - Mstar @ M))
-        normality_bound = normality_tol * fro * fro
-        if commutator_defect > normality_bound:
-            raise NotNormal(commutator_defect, normality_bound)
+        # Both checks are made on M 2^-k (see _scaled_commutator), in units
+        # of 2^k; scaling by a power of two is exact, so each verdict is the
+        # unscaled one wherever the unscaled arithmetic stayed in range.
+        k, fro_s, defect_s = _scaled_commutator(M)
+        scale = 2.0**-k
+        bound_s = normality_tol * fro_s * fro_s
+        if not defect_s <= bound_s:
+            raise NotNormal(_ldexp(defect_s, 2 * k), _ldexp(bound_s, 2 * k))
 
         U, eigs = _joint_diagonalize(M)
         unitary_defect = float(np.linalg.norm(U.conj().T @ U - np.eye(n)))
@@ -159,12 +170,14 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
             raise DecompositionFailure(
                 f"change of basis is not unitary: defect {unitary_defect:.3e}"
             )
-        recon_defect = float(np.linalg.norm((U * eigs) @ U.conj().T - M))
-        recon_bound = 1e-8 * n * max(1.0, fro) + commutator_defect
-        if recon_defect > recon_bound:
+        recon_s = float(np.linalg.norm(((U * eigs) @ U.conj().T - M) * scale))
+        # 1e-8 n max(1, |M|_F) plus the commutator defect, divided by 2^k
+        recon_bound_s = 1e-8 * n * max(scale, fro_s) + _ldexp(defect_s, k)
+        if not recon_s <= recon_bound_s:
             raise DecompositionFailure(
                 f"diagonalization does not reproduce the generator: "
-                f"defect {recon_defect:.3e} exceeds {recon_bound:.3e}"
+                f"defect {_ldexp(recon_s, k):.3e} "
+                f"exceeds {_ldexp(recon_bound_s, k):.3e}"
             )
 
         reps, assign = dedup_points(eigs, eigenvalue_merge_tol)
@@ -175,8 +188,8 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         self.eigenvectors = _readonly(U)
         self.distinct_spectrum = SpectrumSet(reps, eigenvalue_merge_tol)
         self.multiplicity_map = assign
-        self.normality_defect = commutator_defect
-        self.reconstruction_defect = recon_defect
+        self.normality_defect = _ldexp(defect_s, 2 * k)
+        self.reconstruction_defect = _ldexp(recon_s, k)
         self.dim = len(reps)
 
     def character_label(self, i: int) -> str:
@@ -237,6 +250,22 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
 
     def __repr__(self) -> str:
         return self.describe()
+
+
+def _scaled_commutator(M: np.ndarray) -> tuple[int, float, float]:
+    """k with 2^k above every |Re| and |Im| of M, and the Frobenius norms of
+    Ms = M 2^-k and of Ms Ms* - Ms* Ms.
+
+    The largest entry of Ms is near 1, so no product overflows and none
+    underflows unless it is negligible next to |Ms|^2.  k >= -1022 keeps
+    2^-k finite.
+    """
+    top = np.abs(M.ravel(order="K").view(np.float64)).max()  # largest |Re|, |Im|
+    k = max(-1022, math.frexp(top)[1])
+    Ms = M * 2.0**-k
+    Ms_star = Ms.conj().T
+    defect = float(np.linalg.norm(Ms @ Ms_star - Ms_star @ Ms))
+    return k, float(np.linalg.norm(Ms)), defect
 
 
 def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,6 @@ identical across runs, which makes golden-file diffing trivial.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass

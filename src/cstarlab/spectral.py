@@ -223,8 +223,10 @@ def spectral_radius_limit(a: AlgebraElement, n_max: int = 20) -> RadiusEstimate:
 
     Powers are formed by repeated squaring in the algebra.  Each square is
     renormalized and the scale is tracked in log space, so the trace equals
-    the mathematical sequence without overflow for any finite element; a
-    non-finite intermediate still raises :class:`Overflow` defensively.
+    the mathematical sequence without overflow whenever ``a.norm()`` is
+    finite.  A finite element can still have an infinite norm: a coordinate
+    such as ``1.7e308+1.7e308j`` has modulus ``inf``, dividing by it leaves
+    zero powers, and :class:`Overflow` is raised.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -1,14 +1,22 @@
 """The deterministic law suite behind the ``verify`` CLI command.
 
-Each law function draws its instances from a shared seeded generator and
-returns defect records; the registry fixes the order, so a (seed, tol,
-max_size) triple always produces the identical record stream.  Tolerances
-intrinsic to a law (machine-exactness, series accuracy) are fixed here;
-the ``tol`` argument only enters where a set comparison or classification
-cutoff is genuinely a choice.
+``LAWS`` is the registry: an ordered list of ``(name, run)`` pairs with
+``run(rng, tol, max_size) -> list[CheckRecord]``.  ``_law`` builds each
+``run`` from ``count(max_size)`` and a generator ``sample(rng, tol,
+max_size, i)`` that draws instance ``i`` and yields its records.
+
+All laws draw from one shared seeded generator, in registry order and in
+the order each sample draws.  That order is part of the contract: a (seed,
+tol, max_size) triple always produces the identical record stream, and a
+refactor keeps ``verify --format structured`` byte-identical only if no
+draw moves.  Tolerances intrinsic to a law (machine-exactness, series
+accuracy) are fixed here; the ``tol`` argument only enters where a set
+comparison or classification cutoff is genuinely a choice.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,7 +27,6 @@ from .duality import (
     functor_F_morphism,
     functor_F_object,
     functor_G_morphism,
-    mu,
     verify_equivalence,
     verify_naturality_mu,
     verify_naturality_tau,
@@ -64,349 +71,249 @@ from .spectral import (
 
 __all__ = ["run_suite", "summarize", "LAWS"]
 
+Run = Callable[..., list[CheckRecord]]
+LAWS: list[tuple[str, Run]] = []
+
+
+def _law(name: str, count: Callable[[int], int]) -> Callable[..., Run]:
+    """Register the decorated ``sample`` under ``name`` in ``LAWS``.
+
+    The registered ``run(rng, tol, max_size)`` collects the records of
+    ``sample(rng, tol, max_size, i)`` for ``i`` in ``range(count(max_size))``.
+    """
+
+    def register(sample: Callable[..., Iterator[CheckRecord]]) -> Run:
+        def run(rng, tol, max_size):
+            return [
+                rec
+                for i in range(count(max_size))
+                for rec in sample(rng, tol, max_size, i)
+            ]
+
+        LAWS.append((name, run))
+        return run
+
+    return register
+
+
+def _scaled(max_size: int) -> int:
+    return 6 + 2 * max_size
+
+
+def _fixed(n: int) -> Callable[[int], int]:
+    return lambda max_size: n
+
 
 def _rec(law: str, instance: str, defect: float, bound: float) -> CheckRecord:
     defect = float(defect)
     return CheckRecord(law, instance, defect, defect <= bound)
 
 
-def _sample_counts(max_size: int) -> int:
-    return 6 + 2 * max_size
+def _points(maximal_ideals) -> set:
+    return {m.point for m in maximal_ideals}
 
 
-def law_cstar_identity(rng, tol, max_size):
-    records = []
-    for i in range(_sample_counts(max_size)):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra, magnitude=float(rng.uniform(0.1, 3.0)))
-        n = a.norm()
-        defect = abs((a.star() * a).norm() - n * n)
-        records.append(
-            _rec(
-                "cstar_identity",
-                f"{algebra.describe()} #{i}",
-                defect,
-                1e-12 * (1.0 + n * n),
-            )
-        )
-    return records
+@_law("cstar_identity", _scaled)
+def law_cstar_identity(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra, magnitude=float(rng.uniform(0.1, 3.0)))
+    n = a.norm()
+    defect = abs((a.star() * a).norm() - n * n)
+    name = f"{algebra.describe()} #{i}"
+    yield _rec("cstar_identity", name, defect, 1e-12 * (1.0 + n * n))
 
 
-def law_norm_laws(rng, tol, max_size):
-    records = []
-    for i in range(_sample_counts(max_size)):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra, magnitude=2.0)
-        b = random_element(rng, algebra, magnitude=2.0)
-        name = f"{algebra.describe()} #{i}"
-        records.append(
-            _rec("unit_norm", name, abs(algebra.unit().norm() - 1.0), 0.0)
-        )
-        records.append(
-            _rec("involution_isometry", name, abs(a.star().norm() - a.norm()), 0.0)
-        )
-        slack = max(0.0, (a * b).norm() - a.norm() * b.norm())
-        records.append(
-            _rec(
-                "submultiplicative",
-                name,
-                slack,
-                1e-12 * (1.0 + a.norm() * b.norm()),
-            )
-        )
-    return records
+@_law("norm_laws", _scaled)
+def law_norm_laws(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra, magnitude=2.0)
+    b = random_element(rng, algebra, magnitude=2.0)
+    name = f"{algebra.describe()} #{i}"
+    yield _rec("unit_norm", name, abs(algebra.unit().norm() - 1.0), 0.0)
+    yield _rec("involution_isometry", name, abs(a.star().norm() - a.norm()), 0.0)
+    slack = max(0.0, (a * b).norm() - a.norm() * b.norm())
+    yield _rec("submultiplicative", name, slack, 1e-12 * (1.0 + a.norm() * b.norm()))
 
 
-def law_geometric_series(rng, tol, max_size):
-    records = []
-    for i in range(12):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra)
-        norm_now = a.norm()
-        if norm_now == 0.0:
-            a = 0.5 * algebra.unit()
-            norm_now = 0.5
-        a = (float(rng.uniform(0.05, 0.9)) / norm_now) * a
-        s, report = neumann_inverse(a, tol=1e-10, max_terms=4000)
-        name = f"{algebra.describe()} #{i}"
-        records.append(
-            _rec(
-                "neumann_tail_bound",
-                name,
-                max(0.0, report.residual - report.a_priori_bound),
-                1e-12,
-            )
-        )
-        oracle = invert(algebra.unit() - a)
-        records.append(
-            _rec("neumann_matches_inverse", name, (s - oracle).norm(), 1e-8)
-        )
-    return records
+@_law("geometric_series", _fixed(12))
+def law_geometric_series(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra)
+    norm_now = a.norm()
+    if norm_now == 0.0:
+        a = 0.5 * algebra.unit()
+        norm_now = 0.5
+    a = (float(rng.uniform(0.05, 0.9)) / norm_now) * a
+    s, report = neumann_inverse(a, tol=1e-10, max_terms=4000)
+    name = f"{algebra.describe()} #{i}"
+    excess = max(0.0, report.residual - report.a_priori_bound)
+    yield _rec("neumann_tail_bound", name, excess, 1e-12)
+    oracle = invert(algebra.unit() - a)
+    yield _rec("neumann_matches_inverse", name, (s - oracle).norm(), 1e-8)
 
 
-def law_perturbation(rng, tol, max_size):
-    records = []
-    for i in range(12):
-        algebra = random_algebra(rng, max_size)
-        a = random_invertible_element(rng, algebra)
-        inv_norm = invert(a).norm()
-        radius = 1.0 / (2.0 * inv_norm)
-        delta = random_element(rng, algebra)
-        if delta.norm() > 0:
-            delta = (float(rng.uniform(0.1, 0.9)) * radius / delta.norm()) * delta
-        b = a + delta
-        name = f"{algebra.describe()} #{i}"
-        records.append(
-            _rec(
-                "inversion_open",
-                name,
-                0.0 if is_invertible(b) else 1.0,
-                0.0,
-            )
-        )
-        series = perturbation_inverse(a, b, tol=1e-10, max_terms=4000)
-        records.append(
-            _rec(
-                "perturbation_matches_inverse",
-                name,
-                (series - invert(b)).norm(),
-                1e-8,
-            )
-        )
-        eps = float(rng.uniform(0.01, 0.5))
-        modulus = inversion_delta(inv_norm, eps)
-        bump = random_element(rng, algebra)
-        if bump.norm() > 0:
-            bump = (0.95 * modulus / bump.norm()) * bump
-        c = a + bump
-        records.append(
-            _rec(
-                "inversion_continuity",
-                name,
-                (invert(c) - invert(a)).norm(),
-                eps,
-            )
-        )
-    return records
+@_law("perturbation", _fixed(12))
+def law_perturbation(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_invertible_element(rng, algebra)
+    inv_norm = invert(a).norm()
+    radius = 1.0 / (2.0 * inv_norm)
+    delta = random_element(rng, algebra)
+    if delta.norm() > 0:
+        delta = (float(rng.uniform(0.1, 0.9)) * radius / delta.norm()) * delta
+    b = a + delta
+    name = f"{algebra.describe()} #{i}"
+    yield _rec("inversion_open", name, 0.0 if is_invertible(b) else 1.0, 0.0)
+    series = perturbation_inverse(a, b, tol=1e-10, max_terms=4000)
+    defect = (series - invert(b)).norm()
+    yield _rec("perturbation_matches_inverse", name, defect, 1e-8)
+    eps = float(rng.uniform(0.01, 0.5))
+    modulus = inversion_delta(inv_norm, eps)
+    bump = random_element(rng, algebra)
+    if bump.norm() > 0:
+        bump = (0.95 * modulus / bump.norm()) * bump
+    c = a + bump
+    yield _rec("inversion_continuity", name, (invert(c) - invert(a)).norm(), eps)
 
 
-def law_resolvent_series(rng, tol, max_size):
-    records = []
-    for i in range(10):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra)
-        if a.norm() == 0.0:
-            a = 0.4 * algebra.unit()
-        lam = 2.0 * a.norm() * np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
-        direct = resolvent(a, lam)
-        series_core, _ = neumann_inverse((1.0 / lam) * a, tol=1e-13, max_terms=4000)
-        series = (1.0 / lam) * series_core
-        records.append(
-            _rec(
-                "resolvent_series",
-                f"{algebra.describe()} #{i}",
-                (direct - series).norm(),
-                1e-9,
-            )
-        )
-    return records
+@_law("resolvent_series", _fixed(10))
+def law_resolvent_series(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra)
+    if a.norm() == 0.0:
+        a = 0.4 * algebra.unit()
+    lam = 2.0 * a.norm() * np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
+    direct = resolvent(a, lam)
+    series_core, _ = neumann_inverse((1.0 / lam) * a, tol=1e-13, max_terms=4000)
+    series = (1.0 / lam) * series_core
+    name = f"{algebra.describe()} #{i}"
+    yield _rec("resolvent_series", name, (direct - series).norm(), 1e-9)
 
 
-def law_spectral_mapping(rng, tol, max_size):
-    records = []
-    for i in range(_sample_counts(max_size)):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra)
-        degree = int(rng.integers(0, 6))
-        coeffs = random_complex(rng, degree + 1)
-        image = spectrum(apply_polynomial(coeffs, a), tol)
-        pushed = np.polyval(np.flip(coeffs), np.array(spectrum(a, tol).points))
-        defect = hausdorff_distance(image.points, pushed)
-        records.append(
-            _rec(
-                "spectral_mapping",
-                f"{algebra.describe()} deg={degree} #{i}",
-                defect,
-                tol,
-            )
-        )
-    return records
+@_law("spectral_mapping", _scaled)
+def law_spectral_mapping(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra)
+    degree = int(rng.integers(0, 6))
+    coeffs = random_complex(rng, degree + 1)
+    image = spectrum(apply_polynomial(coeffs, a), tol)
+    pushed = np.polyval(np.flip(coeffs), np.array(spectrum(a, tol).points))
+    defect = hausdorff_distance(image.points, pushed)
+    name = f"{algebra.describe()} deg={degree} #{i}"
+    yield _rec("spectral_mapping", name, defect, tol)
 
 
-def law_spectral_radius(rng, tol, max_size):
-    records = []
-    for i in range(_sample_counts(max_size)):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra, magnitude=float(rng.uniform(0.2, 4.0)))
-        exact = spectral_radius_exact(a)
-        estimate = spectral_radius_limit(a, n_max=20)
-        name = f"{algebra.describe()} #{i}"
-        records.append(
-            _rec("radius_limit", name, abs(estimate.estimate - exact), 1e-6)
-        )
-        records.append(_rec("radius_equals_norm", name, abs(exact - a.norm()), 1e-10))
-    return records
+@_law("spectral_radius", _scaled)
+def law_spectral_radius(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra, magnitude=float(rng.uniform(0.2, 4.0)))
+    exact = spectral_radius_exact(a)
+    estimate = spectral_radius_limit(a, n_max=20)
+    name = f"{algebra.describe()} #{i}"
+    yield _rec("radius_limit", name, abs(estimate.estimate - exact), 1e-6)
+    yield _rec("radius_equals_norm", name, abs(exact - a.norm()), 1e-10)
 
 
-def law_gelfand(rng, tol, max_size):
-    records = []
-    for i in range(_sample_counts(max_size)):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra, magnitude=2.0)
-        b = random_element(rng, algebra, magnitude=2.0)
-        name = f"{algebra.describe()} #{i}"
-        a_hat = gelfand_transform(a)
-        records.append(
-            _rec(
-                "gelfand_round_trip",
-                name,
-                (gelfand_inverse(algebra, a_hat) - a).norm(),
-                1e-10,
-            )
-        )
-        records.append(
-            _rec(
-                "gelfand_isometry",
-                name,
-                abs(a_hat.norm() - a.norm()),
-                1e-10 * (1.0 + a.norm()),
-            )
-        )
-        records.append(
-            _rec(
-                "gelfand_multiplicative",
-                name,
-                (gelfand_transform(a * b) - a_hat * gelfand_transform(b)).norm(),
-                1e-10,
-            )
-        )
-        char_values = [chi(a) for chi in characters(algebra)]
-        records.append(
-            _rec(
-                "spectrum_is_character_set",
-                name,
-                hausdorff_distance(spectrum(a, tol).points, char_values),
-                tol,
-            )
-        )
-    return records
+@_law("gelfand", _scaled)
+def law_gelfand(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra, magnitude=2.0)
+    b = random_element(rng, algebra, magnitude=2.0)
+    name = f"{algebra.describe()} #{i}"
+    a_hat = gelfand_transform(a)
+    round_trip = (gelfand_inverse(algebra, a_hat) - a).norm()
+    yield _rec("gelfand_round_trip", name, round_trip, 1e-10)
+    isometry = abs(a_hat.norm() - a.norm())
+    yield _rec("gelfand_isometry", name, isometry, 1e-10 * (1.0 + a.norm()))
+    product = (gelfand_transform(a * b) - a_hat * gelfand_transform(b)).norm()
+    yield _rec("gelfand_multiplicative", name, product, 1e-10)
+    char_values = [chi(a) for chi in characters(algebra)]
+    defect = hausdorff_distance(spectrum(a, tol).points, char_values)
+    yield _rec("spectrum_is_character_set", name, defect, tol)
 
 
-def law_characters(rng, tol, max_size):
-    records = []
-    for i in range(10):
-        algebra = random_algebra(rng, max_size)
-        a = random_element(rng, algebra, magnitude=2.0)
-        b = random_element(rng, algebra, magnitude=2.0)
-        scale = 1.0 + a.norm() * b.norm()
-        unital = 0.0
-        mult = 0.0
-        contraction = 0.0
-        for chi in characters(algebra):
-            unital = max(unital, abs(chi(algebra.unit()) - 1.0))
-            mult = max(mult, abs(chi(a * b) - chi(a) * chi(b)))
-            contraction = max(contraction, abs(chi(a)) - a.norm())
-        name = f"{algebra.describe()} #{i}"
-        records.append(_rec("character_unital", name, unital, 0.0))
-        records.append(_rec("character_multiplicative", name, mult, 1e-12 * scale))
-        # scalar abs and the vectorized modulus inside norm() may differ by
-        # one ulp, so the contraction is exact only up to rounding
-        records.append(
-            _rec("character_contraction", name, contraction, 5e-16 * (1.0 + a.norm()))
-        )
-    return records
+@_law("characters", _fixed(10))
+def law_characters(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    a = random_element(rng, algebra, magnitude=2.0)
+    b = random_element(rng, algebra, magnitude=2.0)
+    scale = 1.0 + a.norm() * b.norm()
+    unital = 0.0
+    mult = 0.0
+    contraction = 0.0
+    for chi in characters(algebra):
+        unital = max(unital, abs(chi(algebra.unit()) - 1.0))
+        mult = max(mult, abs(chi(a * b) - chi(a) * chi(b)))
+        contraction = max(contraction, abs(chi(a)) - a.norm())
+    name = f"{algebra.describe()} #{i}"
+    yield _rec("character_unital", name, unital, 0.0)
+    yield _rec("character_multiplicative", name, mult, 1e-12 * scale)
+    # scalar abs and the vectorized modulus inside norm() may differ by
+    # one ulp, so the contraction is exact only up to rounding
+    bound = 5e-16 * (1.0 + a.norm())
+    yield _rec("character_contraction", name, contraction, bound)
 
 
-def law_functor_laws(rng, tol, max_size):
-    records = []
-    for i in range(8):
-        A = random_algebra(rng, max_size)
-        B = random_algebra(rng, max_size)
-        C = random_algebra(rng, max_size)
-        phi = random_pullback_hom(rng, A, B)
-        rho = random_pullback_hom(rng, B, C)
-        name = f"chain #{i}"
-        ident = functor_F_morphism(StarHomomorphism.identity(A))
-        expected = ContinuousMap.identity(functor_F_object(A))
-        records.append(
-            _rec("functor_F_identity", name, 0.0 if ident == expected else 1.0, 0.0)
-        )
-        composite = functor_F_morphism(phi.then(rho))
-        stepwise = functor_F_morphism(rho).then(functor_F_morphism(phi))
-        records.append(
-            _rec(
-                "functor_F_contravariant",
-                name,
-                0.0 if composite == stepwise else 1.0,
-                0.0,
-            )
-        )
-        X = random_space(rng, max_size=max_size, prefix="s")
-        Y = random_space(rng, max_size=max_size, prefix="t")
-        Z = random_space(rng, max_size=max_size, prefix="u")
-        f = random_continuous_map(rng, X, Y)
-        g = random_continuous_map(rng, Y, Z)
-        g_of_f = functor_G_morphism(f.then(g))
-        stepwise_g = functor_G_morphism(g).then(functor_G_morphism(f))
-        records.append(
-            _rec(
-                "functor_G_contravariant",
-                name,
-                0.0 if g_of_f == stepwise_g else 1.0,
-                0.0,
-            )
-        )
-    return records
+@_law("functor_laws", _fixed(8))
+def law_functor_laws(rng, tol, max_size, i):
+    A = random_algebra(rng, max_size)
+    B = random_algebra(rng, max_size)
+    C = random_algebra(rng, max_size)
+    phi = random_pullback_hom(rng, A, B)
+    rho = random_pullback_hom(rng, B, C)
+    name = f"chain #{i}"
+    ident = functor_F_morphism(StarHomomorphism.identity(A))
+    expected = ContinuousMap.identity(functor_F_object(A))
+    yield _rec("functor_F_identity", name, 0.0 if ident == expected else 1.0, 0.0)
+    composite = functor_F_morphism(phi.then(rho))
+    stepwise = functor_F_morphism(rho).then(functor_F_morphism(phi))
+    defect = 0.0 if composite == stepwise else 1.0
+    yield _rec("functor_F_contravariant", name, defect, 0.0)
+    X = random_space(rng, max_size=max_size, prefix="s")
+    Y = random_space(rng, max_size=max_size, prefix="t")
+    Z = random_space(rng, max_size=max_size, prefix="u")
+    f = random_continuous_map(rng, X, Y)
+    g = random_continuous_map(rng, Y, Z)
+    g_of_f = functor_G_morphism(f.then(g))
+    stepwise_g = functor_G_morphism(g).then(functor_G_morphism(f))
+    defect = 0.0 if g_of_f == stepwise_g else 1.0
+    yield _rec("functor_G_contravariant", name, defect, 0.0)
 
 
-def law_naturality(rng, tol, max_size):
-    records = []
-    for i in range(10):
-        A = random_algebra(rng, max_size)
-        B = random_algebra(rng, max_size)
-        square = verify_naturality_tau(random_pullback_hom(rng, A, B))
-        records.append(
-            _rec("naturality_tau", f"{square.morphism} #{i}", square.max_defect, 1e-10)
-        )
-        X = random_space(rng, max_size=max_size, prefix="p")
-        Y = random_space(rng, max_size=max_size, prefix="q")
-        square = verify_naturality_mu(random_continuous_map(rng, X, Y))
-        records.append(
-            _rec("naturality_mu", f"{square.morphism} #{i}", square.max_defect, 1e-10)
-        )
-    return records
+@_law("naturality", _fixed(10))
+def law_naturality(rng, tol, max_size, i):
+    A = random_algebra(rng, max_size)
+    B = random_algebra(rng, max_size)
+    square = verify_naturality_tau(random_pullback_hom(rng, A, B))
+    yield _rec("naturality_tau", f"{square.morphism} #{i}", square.max_defect, 1e-10)
+    X = random_space(rng, max_size=max_size, prefix="p")
+    Y = random_space(rng, max_size=max_size, prefix="q")
+    square = verify_naturality_mu(random_continuous_map(rng, X, Y))
+    yield _rec("naturality_mu", f"{square.morphism} #{i}", square.max_defect, 1e-10)
 
 
-def law_duality_equivalence(rng, tol, max_size):
-    records = []
+# The next two laws draw per size first and per random sample after, so
+# each is one pass that yields all of its records.
+
+
+@_law("duality_equivalence", _fixed(1))
+def law_duality_equivalence(rng, tol, max_size, _i):
     for size in range(1, min(max_size, 8) + 1):
         space = random_space(rng, size=size, prefix="d")
         for subject in (space, FunctionAlgebra(space)):
             report = verify_equivalence(subject)
-            records.append(
-                CheckRecord(
-                    "duality_equivalence",
-                    report.subject,
-                    report.max_defect,
-                    report.passed,
-                )
+            yield CheckRecord(
+                "duality_equivalence", report.subject, report.max_defect, report.passed
             )
     for i in range(4):
         algebra = random_normal_generator_algebra(rng, max_n=max_size, repeats=True)
         report = verify_equivalence(algebra)
-        records.append(
-            CheckRecord(
-                "duality_equivalence",
-                f"{report.subject} #{i}",
-                report.max_defect,
-                report.passed,
-            )
-        )
-    return records
+        name = f"{report.subject} #{i}"
+        yield CheckRecord("duality_equivalence", name, report.max_defect, report.passed)
 
 
-def law_ideal_correspondence(rng, tol, max_size):
-    records = []
+@_law("ideal_correspondence", _fixed(1))
+def law_ideal_correspondence(rng, tol, max_size, _i):
     for size in range(1, min(max_size, 8) + 1):
         algebra = FunctionAlgebra(random_space(rng, size=size, prefix="i"))
         failures = 0
@@ -415,16 +322,10 @@ def law_ideal_correspondence(rng, tol, max_size):
                 algebra.space.points[k] for k in range(size) if mask >> k & 1
             )
             ideal = ideal_from_closed_set(algebra, subset)
-            if closed_set_from_ideal(ideal) != tuple(sorted(subset, key=algebra.space.index)):
-                failures += 1
-        records.append(
-            _rec(
-                "ideal_round_trip",
-                f"|X|={size} all {2**size} subsets",
-                float(failures),
-                0.0,
-            )
-        )
+            expected = tuple(sorted(subset, key=algebra.space.index))
+            failures += closed_set_from_ideal(ideal) != expected
+        name = f"|X|={size} all {2**size} subsets"
+        yield _rec("ideal_round_trip", name, float(failures), 0.0)
     for i in range(8):
         algebra = random_algebra(rng, max_size)
         a = random_element(rng, algebra, magnitude=2.0)
@@ -434,188 +335,99 @@ def law_ideal_correspondence(rng, tol, max_size):
         ideal = ideal_from_closed_set(algebra, keep)
         q, pi = quotient(algebra, ideal)
         name = f"{algebra.describe()} zero_set={sorted(ideal.zero_set)} #{i}"
-        records.append(
-            _rec(
-                "quotient_dimension",
-                name,
-                float(abs(q.dim - len(ideal.zero_set))),
-                0.0,
-            )
-        )
+        defect = float(abs(q.dim - len(ideal.zero_set)))
+        yield _rec("quotient_dimension", name, defect, 0.0)
         image = pi(a)
-        records.append(
-            _rec(
-                "quotient_norm_closed_form",
-                name,
-                abs(q.quotient_norm(a) - image.norm()),
-                0.0,
-            )
-        )
+        defect = abs(q.quotient_norm(a) - image.norm())
+        yield _rec("quotient_norm_closed_form", name, defect, 0.0)
         cstar = abs((image.star() * image).norm() - image.norm() ** 2)
-        records.append(
-            _rec("quotient_cstar", name, cstar, 1e-12 * (1.0 + image.norm() ** 2))
-        )
-        records.append(
-            _rec(
-                "projection_kernel",
-                name,
-                0.0 if kernel_ideal(pi).zero_set == ideal.zero_set else 1.0,
-                0.0,
-            )
-        )
+        yield _rec("quotient_cstar", name, cstar, 1e-12 * (1.0 + image.norm() ** 2))
+        defect = 0.0 if kernel_ideal(pi).zero_set == ideal.zero_set else 1.0
+        yield _rec("projection_kernel", name, defect, 0.0)
         for m in max_ideals(algebra)[: min(3, algebra.dim)]:
             qm, _ = quotient(algebra, m)
-            records.append(
-                _rec(
-                    "maximal_quotient_is_scalar",
-                    f"{name} at {m.point}",
-                    float(abs(qm.dim - 1)),
-                    0.0,
-                )
-            )
-    return records
+            at = f"{name} at {m.point}"
+            yield _rec("maximal_quotient_is_scalar", at, float(abs(qm.dim - 1)), 0.0)
 
 
-def law_zariski(rng, tol, max_size):
-    records = []
-    for size in range(1, min(max_size, 6) + 1):
-        algebra = FunctionAlgebra(random_space(rng, size=size, prefix="z"))
-        all_max = {m.point for m in max_ideals(algebra)}
-        v_zero = {m.point for m in zariski_V(zero_ideal(algebra))}
-        v_unit = {m.point for m in zariski_V(unit_ideal(algebra))}
-        base_defect = float(v_zero != all_max) + float(v_unit != set())
-        failures = 0
-        subsets = [frozenset(
-            k for k in range(size) if mask >> k & 1
-        ) for mask in range(2**size)]
-        for zs_i in subsets:
-            I = Ideal(algebra, zs_i)
-            for zs_j in subsets:
-                J = Ideal(algebra, zs_j)
-                union = {m.point for m in zariski_V(I)} | {
-                    m.point for m in zariski_V(J)
-                }
-                of_intersection = {m.point for m in zariski_V(I.intersect(J))}
-                if union != of_intersection:
-                    failures += 1
-                of_sum = {m.point for m in zariski_V(I.sum_with(J))}
-                both = {m.point for m in zariski_V(I)} & {
-                    m.point for m in zariski_V(J)
-                }
-                if of_sum != both:
-                    failures += 1
-        records.append(
-            _rec(
-                "zariski_axioms",
-                f"|X|={size} all {len(subsets)}^2 pairs",
-                base_defect + failures,
-                0.0,
-            )
-        )
-    return records
+@_law("zariski", lambda max_size: min(max_size, 6))
+def law_zariski(rng, tol, max_size, i):
+    size = i + 1
+    algebra = FunctionAlgebra(random_space(rng, size=size, prefix="z"))
+    all_max = _points(max_ideals(algebra))
+    failures = float(_points(zariski_V(zero_ideal(algebra))) != all_max)
+    failures += _points(zariski_V(unit_ideal(algebra))) != set()
+    ideals = [
+        Ideal(algebra, frozenset(k for k in range(size) if mask >> k & 1))
+        for mask in range(2**size)
+    ]
+    closed = [_points(zariski_V(ideal)) for ideal in ideals]
+    # V(I) and V(J) are built once per ideal; the intersection and the sum
+    # of every pair still go through zariski_V, so coverage stays exhaustive
+    for I, v_i in zip(ideals, closed):
+        for J, v_j in zip(ideals, closed):
+            failures += _points(zariski_V(I.intersect(J))) != v_i | v_j
+            failures += _points(zariski_V(I.sum_with(J))) != v_i & v_j
+    name = f"|X|={size} all {len(ideals)}^2 pairs"
+    yield _rec("zariski_axioms", name, failures, 0.0)
 
 
-def law_classification(rng, tol, max_size):
-    records = []
-    makers = {
-        "self_adjoint": lambda n: rng.uniform(-2, 2, n).astype(complex),
-        "unitary": lambda n: np.exp(1j * rng.uniform(0, 2 * np.pi, n)),
-        "projection": lambda n: rng.integers(0, 2, n).astype(complex),
-        "positive": lambda n: rng.uniform(0, 2, n).astype(complex) ** 2,
-    }
-    distances = {
-        "self_adjoint": lambda z: abs(z.imag),
-        "unitary": lambda z: abs(abs(z) - 1.0),
-        "projection": lambda z: min(abs(z), abs(z - 1.0)),
-        "positive": lambda z: abs(z) if z.real < 0 else abs(z.imag),
-    }
-    for i in range(6):
-        algebra = random_algebra(rng, max_size)
-        for cls, make in makers.items():
-            a = algebra.element(make(algebra.dim))
-            report = classify_element(a, tol)
-            name = f"{cls} in {algebra.describe()} #{i}"
-            records.append(
-                _rec(
-                    "classification_flag",
-                    name,
-                    report.witness_tolerances[cls],
-                    tol,
-                )
-            )
-            containment = max(
-                distances[cls](complex(p)) for p in spectrum(a, tol).points
-            )
-            records.append(
-                _rec("classification_spectrum", name, containment, tol)
-            )
-    return records
+_MAKERS = {
+    "self_adjoint": lambda rng, n: rng.uniform(-2, 2, n).astype(complex),
+    "unitary": lambda rng, n: np.exp(1j * rng.uniform(0, 2 * np.pi, n)),
+    "projection": lambda rng, n: rng.integers(0, 2, n).astype(complex),
+    "positive": lambda rng, n: rng.uniform(0, 2, n).astype(complex) ** 2,
+}
+_DISTANCES = {
+    "self_adjoint": lambda z: abs(z.imag),
+    "unitary": lambda z: abs(abs(z) - 1.0),
+    "projection": lambda z: min(abs(z), abs(z - 1.0)),
+    "positive": lambda z: abs(z) if z.real < 0 else abs(z.imag),
+}
 
 
-def law_norm_uniqueness(rng, tol, max_size):
-    records = []
-    for i in range(10):
-        algebra = random_normal_generator_algebra(
-            rng, max_n=max_size, magnitude=2.0, repeats=bool(rng.integers(0, 2))
-        )
-        a = random_element(rng, algebra, magnitude=2.0)
-        dense = algebra.materialize(a)
-        defect = abs(a.norm() - operator_norm(dense))
-        records.append(
-            _rec("norm_uniqueness", f"{algebra.describe()} #{i}", defect, 1e-8)
-        )
-    return records
+@_law("classification", _fixed(6))
+def law_classification(rng, tol, max_size, i):
+    algebra = random_algebra(rng, max_size)
+    for cls, make in _MAKERS.items():
+        a = algebra.element(make(rng, algebra.dim))
+        report = classify_element(a, tol)
+        name = f"{cls} in {algebra.describe()} #{i}"
+        yield _rec("classification_flag", name, report.witness_tolerances[cls], tol)
+        distance = _DISTANCES[cls]
+        containment = max(distance(complex(p)) for p in spectrum(a, tol).points)
+        yield _rec("classification_spectrum", name, containment, tol)
 
 
-LAWS = [
-    ("cstar_identity", law_cstar_identity),
-    ("norm_laws", law_norm_laws),
-    ("geometric_series", law_geometric_series),
-    ("perturbation", law_perturbation),
-    ("resolvent_series", law_resolvent_series),
-    ("spectral_mapping", law_spectral_mapping),
-    ("spectral_radius", law_spectral_radius),
-    ("gelfand", law_gelfand),
-    ("characters", law_characters),
-    ("functor_laws", law_functor_laws),
-    ("naturality", law_naturality),
-    ("duality_equivalence", law_duality_equivalence),
-    ("ideal_correspondence", law_ideal_correspondence),
-    ("zariski", law_zariski),
-    ("classification", law_classification),
-    ("norm_uniqueness", law_norm_uniqueness),
-]
+@_law("norm_uniqueness", _fixed(10))
+def law_norm_uniqueness(rng, tol, max_size, i):
+    algebra = random_normal_generator_algebra(
+        rng, max_n=max_size, magnitude=2.0, repeats=bool(rng.integers(0, 2))
+    )
+    a = random_element(rng, algebra, magnitude=2.0)
+    defect = abs(a.norm() - operator_norm(algebra.materialize(a)))
+    yield _rec("norm_uniqueness", f"{algebra.describe()} #{i}", defect, 1e-8)
 
 
 def run_suite(seed: int = 0, tol: float = 1e-9, max_size: int = 8) -> list[CheckRecord]:
-    """Run every law once with a shared seeded generator."""
+    """Run every law once, in registry order, with one shared seeded generator."""
     rng = np.random.default_rng(seed)
-    records: list[CheckRecord] = []
-    for _, fn in LAWS:
-        records.extend(fn(rng, tol, max_size))
-    return records
+    return [rec for _, run in LAWS for rec in run(rng, tol, max_size)]
 
 
 def summarize(records: list[CheckRecord]) -> list[dict]:
-    """Per-law aggregate: instance count, worst defect, overall verdict."""
-    order: list[str] = []
+    """Per-law aggregate in first-appearance order: instance count, worst
+    defect, overall verdict and the first failing instance."""
     grouped: dict[str, list[CheckRecord]] = {}
     for rec in records:
-        if rec.law not in grouped:
-            grouped[rec.law] = []
-            order.append(rec.law)
-        grouped[rec.law].append(rec)
-    out = []
-    for law in order:
-        group = grouped[law]
-        failing = [r for r in group if not r.passed]
-        out.append(
-            {
-                "law": law,
-                "instances": len(group),
-                "max_defect": max(r.defect for r in group),
-                "pass": not failing,
-                "witness": failing[0].instance if failing else None,
-            }
-        )
-    return out
+        grouped.setdefault(rec.law, []).append(rec)
+    return [
+        {
+            "law": law,
+            "instances": len(group),
+            "max_defect": max(r.defect for r in group),
+            "pass": all(r.passed for r in group),
+            "witness": next((r.instance for r in group if not r.passed), None),
+        }
+        for law, group in grouped.items()
+    ]

@@ -187,6 +187,60 @@ def test_shift_matrix_is_rejected():
     assert info.value.defect == pytest.approx(np.sqrt(2))
 
 
+def test_huge_non_normal_matrix_is_rejected():
+    # M M* overflows at this scale; a NaN defect must not pass the check
+    with pytest.raises(NotNormal):
+        make_normal_generator_algebra([[1e200, 1e200], [0, 1e200]])
+
+
+def test_huge_normal_matrix_keeps_its_spectrum():
+    algebra = make_normal_generator_algebra(np.diag([1e200, 2e200]))
+    assert algebra.distinct_spectrum.points == (1e200 + 0j, 2e200 + 0j)
+    # the reconstruction defect's norm overflows unless it is scaled too
+    hermitian = make_normal_generator_algebra([[1e200, 1e200], [1e200, 1e200]])
+    radius = max(abs(p) for p in hermitian.distinct_spectrum.points)
+    assert radius == pytest.approx(2e200)
+
+
+def test_normality_verdict_is_invariant_under_power_of_two_scaling():
+    shear = np.array([[1.0, 1e-3], [0.0, 1.0]])
+    nearly_normal = np.array([[1.0, 1e-12], [0.0, 1.0]])
+    with pytest.raises(NotNormal) as info:
+        make_normal_generator_algebra(shear)
+    defect = info.value.defect
+    for k in (-300, 300, 600):
+        with pytest.raises(NotNormal) as info:
+            make_normal_generator_algebra(np.ldexp(shear, k))
+        if k <= 300:
+            assert info.value.defect == np.ldexp(defect, 2 * k)
+        make_normal_generator_algebra(np.ldexp(nearly_normal, k))
+
+
+def construction_outcome(M):
+    try:
+        make_normal_generator_algebra(M)
+    except CstarError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def test_construction_verdict_does_not_depend_on_scale():
+    # normal, perturbed and triangular matrices; unscaled, the commutator of
+    # the 1e150 copies overflows and that of the 1e-150 copies underflows
+    rng = np.random.default_rng(11)
+    for t in range(24):
+        n = int(rng.integers(2, 7))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        M = (Q * (rng.normal(size=n) + 1j * rng.normal(size=n))) @ Q.conj().T
+        if t % 3 == 1:
+            M = M + 10.0 ** rng.uniform(-12, -2) * rng.normal(size=(n, n))
+        elif t % 3 == 2:
+            M = np.triu(M)
+        expected = construction_outcome(M)
+        for scale in (1e-150, 1e150):
+            assert construction_outcome(M * scale) == expected, (t, scale)
+
+
 def test_eigenvector_matrix_is_unitary_and_reconstructs():
     rng = np.random.default_rng(3)
     for n in (1, 2, 5, 8):

@@ -135,6 +135,15 @@ HUGE_MODULUS = json.dumps(
     }
 )
 
+# not normal; M M* overflows unless the normality check rescales
+HUGE_SHEAR = json.dumps(
+    {
+        "kind": "normal_matrix",
+        "n": 2,
+        "entries": [[1e200, 0.0], [1e200, 0.0], [0.0, 0.0], [1e200, 0.0]],
+    }
+)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -145,6 +154,7 @@ HUGE_MODULUS = json.dumps(
         ["calculus", "--inline", DIAG123, "--coeffs", ",".join(["1e308"] * 5)],
         ["quotient", "--inline", HUGE_MODULUS, "--zero-set", "p"],
         ["quotient", "--inline", HUGE_MODULUS, "--zero-set", "p", "--format", "structured"],
+        ["spectrum", "--inline", HUGE_SHEAR],
     ],
     ids=[
         "huge-int-document",
@@ -153,6 +163,7 @@ HUGE_MODULUS = json.dumps(
         "overflow-matrix",
         "overflow-quotient-norm-text",
         "overflow-quotient-norm-structured",
+        "huge-non-normal-matrix",
     ],
 )
 def test_overflow_and_nan_exit_2_with_one_line(argv):

@@ -11,6 +11,7 @@ from cstarlab import (
     DomainError,
     NormTooLarge,
     NotInvertible,
+    Overflow,
     PerturbationTooLarge,
     SpectrumHit,
     SpectrumSet,
@@ -361,6 +362,14 @@ def test_radius_limit_handles_large_norms_without_overflow():
     est = spectral_radius_limit(f)
     assert abs(est.estimate - 75.0) <= 1e-4
     assert all(math.isfinite(t) for t in est.trace)
+
+
+def test_radius_limit_raises_overflow_when_the_norm_overflows():
+    # every coordinate is finite, but the modulus of 1.7e308+1.7e308j is inf
+    f = algebra_of(2).element([1.7e308 + 1.7e308j, 1.0])
+    assert f.norm() == math.inf
+    with pytest.raises(Overflow):
+        spectral_radius_limit(f)
 
 
 def test_radius_equals_norm_in_these_models():
