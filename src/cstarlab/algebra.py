@@ -155,30 +155,36 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         if not np.all(np.isfinite(M)):
             raise NonFinite("generator entries must be finite")
         n = M.shape[0]
-        # Both checks are made on M 2^-k (see _scaled_commutator), in units
-        # of 2^k; scaling by a power of two is exact, so each verdict is the
-        # unscaled one wherever the unscaled arithmetic stayed in range.
-        k, fro_s, defect_s = _scaled_commutator(M)
-        scale = 2.0**-k
+        # Everything below works on Ms = M 2^-k (see _scaled_commutator), in
+        # units of 2^k; scaling by a power of two is exact, so each verdict
+        # is the unscaled one wherever the unscaled arithmetic stayed in range.
+        k, Ms, defect_s = _scaled_commutator(M)
+        fro_s = float(np.linalg.norm(Ms))
         bound_s = normality_tol * fro_s * fro_s
         if not defect_s <= bound_s:
-            raise NotNormal(_ldexp(defect_s, 2 * k), _ldexp(bound_s, 2 * k))
+            raise NotNormal(defect_s, bound_s, 2 * k)
 
-        U, eigs = _joint_diagonalize(M)
+        # the floor 2^-k is 1 in units of 2^k: the clusters are those of M
+        U, eigs_s = _joint_diagonalize(Ms, 2.0**-k)
         unitary_defect = float(np.linalg.norm(U.conj().T @ U - np.eye(n)))
         if unitary_defect > 1e-12 * n:
             raise DecompositionFailure(
                 f"change of basis is not unitary: defect {unitary_defect:.3e}"
             )
-        recon_s = float(np.linalg.norm(((U * eigs) @ U.conj().T - M) * scale))
-        # 1e-8 n max(1, |M|_F) plus the commutator defect, divided by 2^k
-        recon_bound_s = 1e-8 * n * max(scale, fro_s) + _ldexp(defect_s, k)
+        recon_s = float(np.linalg.norm((U * eigs_s) @ U.conj().T - Ms))
+        # 1e-8 n |M|_F + |[M, M*]|_F / |M|_F, which scales with M
+        recon_bound_s = 1e-8 * n * fro_s + (defect_s / fro_s if fro_s else 0.0)
         if not recon_s <= recon_bound_s:
             raise DecompositionFailure(
                 f"diagonalization does not reproduce the generator: "
                 f"defect {_ldexp(recon_s, k):.3e} "
                 f"exceeds {_ldexp(recon_bound_s, k):.3e}"
             )
+        top_s = float(np.abs(eigs_s.view(np.float64)).max())  # largest |Re|, |Im|
+        if _ldexp(top_s, k) == math.inf:
+            raise NonFinite("an eigenvalue of the generator overflows a float")
+        # two exact factors, because 2.0**k overflows at k = 1024
+        eigs = eigs_s * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
         reps, assign = dedup_points(eigs, eigenvalue_merge_tol)
         self.dimension_n = n
@@ -252,9 +258,9 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         return self.describe()
 
 
-def _scaled_commutator(M: np.ndarray) -> tuple[int, float, float]:
-    """k with 2^k above every |Re| and |Im| of M, and the Frobenius norms of
-    Ms = M 2^-k and of Ms Ms* - Ms* Ms.
+def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """k with 2^k above every |Re| and |Im| of M, Ms = M 2^-k, and the
+    Frobenius norm of Ms Ms* - Ms* Ms.
 
     The largest entry of Ms is near 1, so no product overflows and none
     underflows unless it is negligible next to |Ms|^2.  k >= -1022 keeps
@@ -264,26 +270,24 @@ def _scaled_commutator(M: np.ndarray) -> tuple[int, float, float]:
     k = max(-1022, math.frexp(top)[1])
     Ms = M * 2.0**-k
     Ms_star = Ms.conj().T
-    defect = float(np.linalg.norm(Ms @ Ms_star - Ms_star @ Ms))
-    return k, float(np.linalg.norm(Ms)), defect
+    return k, Ms, float(np.linalg.norm(Ms @ Ms_star - Ms_star @ Ms))
 
 
-def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _joint_diagonalize(M: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Unitary U and eigenvalue vector of a normal matrix.
 
     Diagonalizes the Hermitian part, then fixes the basis inside clusters of
     nearly equal eigenvalues by diagonalizing the anti-Hermitian part there.
     Clusters are needed because eigenvectors of nearly degenerate Hermitian
     eigenvalues are individually ill-conditioned even though their span is
-    stable.
+    stable.  Hermitian eigenvalues closer than 2e-8 max(floor, max |w|)
+    form a cluster.
     """
     n = M.shape[0]
-    H = (M + M.conj().T) / 2
+    # K is formed after eigh so that it is not held during the call
+    w, U = np.linalg.eigh((M + M.conj().T) / 2)
     K = (M - M.conj().T) / 2j
-    w, U = np.linalg.eigh(H)
-    U = U.astype(complex)
-    scale = max(1.0, float(np.max(np.abs(w))) if n else 1.0)
-    gap_tol = 2e-8 * scale
+    gap_tol = 2e-8 * max(floor, float(np.max(np.abs(w))))
     start = 0
     for stop in range(1, n + 1):
         if stop < n and w[stop] - w[stop - 1] <= gap_tol:

@@ -22,13 +22,13 @@ import numpy as np
 from .errors import CstarError, NonFinite
 from .gelfand import characters, gelfand_transform
 from .ideals import ideal_from_closed_set, quotient
-from .interchange import document_to_json, dump_element, load_document, load_path
+from .interchange import complex_pairs, document_to_json, dump_element
+from .interchange import load_document, load_path
 from .spectral import apply_polynomial, classify_element, spectrum
 from .verify import run_suite, summarize
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
-COMMANDS = ("spectrum", "classify", "calculus", "quotient", "characters", "verify")
 FORMATS = ("text", "structured")
 
 
@@ -52,6 +52,10 @@ def _fmt(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
+def _fmt_all(values) -> str:
+    return ", ".join(_fmt(v) for v in values)
+
+
 def _finite(value: float, what: str) -> float:
     """``value`` unchanged, or NonFinite if it overflowed to inf or NaN."""
     if not math.isfinite(value):
@@ -59,78 +63,63 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _fail(message: str) -> int:
+    """Report bad input or configuration on stderr; the exit code is 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _emit(out, record: dict) -> None:
     out.write(document_to_json(record) + "\n")
 
 
 def _load_input(config: RunConfig):
+    """The input's element; the text, which can be megabytes, is not kept."""
     if config.inline is not None:
-        text = config.inline
-    elif config.input_path is not None:
+        return load_document(config.inline)
+    if config.input_path is not None:
         return load_path(config.input_path)
-    else:
-        text = sys.stdin.read()
-    return load_document(text)
+    return load_document(sys.stdin.read())
 
 
 def run(config: RunConfig, out=None) -> int:
     """Execute one configuration; returns the process exit code."""
     out = out if out is not None else sys.stdout
     if config.command not in COMMANDS:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
+        return _fail(f"unknown command {config.command!r}")
     if config.output_format not in FORMATS:
-        print(f"unknown format {config.output_format!r}", file=sys.stderr)
-        return 2
+        return _fail(f"unknown format {config.output_format!r}")
     if not config.tol > 0:
-        print("--tol must be positive", file=sys.stderr)
-        return 2
+        return _fail("--tol must be positive")
     if config.max_size < 1:
-        print("--max-size must be at least 1", file=sys.stderr)
-        return 2
+        return _fail("--max-size must be at least 1")
 
     if config.command == "verify":
         return _cmd_verify(config, out)
 
-    try:
-        element = _load_input(config)
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return 2
-    except CstarError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-
-    # an overflowing element raises NonFinite in CommutativeAlgebra.element,
-    # and the norms and defects computed outside it are checked by _finite,
-    # so numpy's floating-point warnings would only repeat that message
+    # an overflow while building the algebra or an element raises a
+    # CstarError (NonFinite, NotNormal, DecompositionFailure), and the norms
+    # and defects computed outside it are checked by _finite, so numpy's
+    # floating-point warnings would only repeat that message
     with np.errstate(all="ignore"):
         try:
-            if config.command == "spectrum":
-                return _cmd_spectrum(config, element, out)
-            if config.command == "classify":
-                return _cmd_classify(config, element, out)
-            if config.command == "characters":
-                return _cmd_characters(config, element, out)
-            if config.command == "calculus":
-                return _cmd_calculus(config, element, out)
-            return _cmd_quotient(config, element, out)
+            try:
+                element = _load_input(config)
+            except (OSError, UnicodeDecodeError) as exc:
+                return _fail(f"cannot read input: {exc}")
+            return _DATA_COMMANDS[config.command](config, element, out)
         except CstarError as exc:
-            print(f"invalid input: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"invalid input: {exc}")
+
+
+def _spectrum_record(points, tol: float) -> dict:
+    return {"kind": "spectrum", "merge_tol": tol, "points": complex_pairs(points)}
 
 
 def _cmd_spectrum(config: RunConfig, element, out) -> int:
     points = spectrum(element, config.tol).points
     if config.output_format == "structured":
-        _emit(
-            out,
-            {
-                "kind": "spectrum",
-                "merge_tol": config.tol,
-                "points": [[p.real, p.imag] for p in points],
-            },
-        )
+        _emit(out, _spectrum_record(points, config.tol))
     else:
         out.write(f"{len(points)} spectrum point(s), merge tolerance {config.tol:g}\n")
         for i, p in enumerate(points):
@@ -142,6 +131,7 @@ def _cmd_classify(config: RunConfig, element, out) -> int:
     report = classify_element(element, config.tol)
     for name, defect in report.witness_tolerances.items():
         _finite(defect, f"{name} defect")
+    offender = report.positive_offender
     if config.output_format == "structured":
         for name in sorted(report.flags):
             _emit(
@@ -153,85 +143,61 @@ def _cmd_classify(config: RunConfig, element, out) -> int:
                     "defect": report.witness_tolerances[name],
                 },
             )
-        if report.positive_offender is not None:
-            _emit(
-                out,
-                {
-                    "kind": "positive_offender",
-                    "value": [
-                        report.positive_offender.real,
-                        report.positive_offender.imag,
-                    ],
-                },
-            )
+        if offender is not None:
+            value = complex_pairs([offender])[0]
+            _emit(out, {"kind": "positive_offender", "value": value})
     else:
         for name in sorted(report.flags):
             verdict = "yes" if report.flags[name] else "no"
             out.write(
                 f"{name}: {verdict} (defect {report.witness_tolerances[name]:.3e})\n"
             )
-        if report.positive_offender is not None:
-            out.write(
-                f"positivity fails at character value "
-                f"{_fmt(report.positive_offender)}\n"
-            )
+        if offender is not None:
+            out.write(f"positivity fails at character value {_fmt(offender)}\n")
     return 0
 
 
 def _cmd_characters(config: RunConfig, element, out) -> int:
-    algebra = element.algebra
-    transform = gelfand_transform(element)
-    for chi in characters(algebra):
-        value = complex(transform.coords[chi.index])
-        if config.output_format == "structured":
+    values = gelfand_transform(element).coords
+    chars = characters(element.algebra)
+    if config.output_format == "structured":
+        pairs = complex_pairs(values)
+        for chi in chars:
             _emit(
                 out,
                 {
                     "kind": "character",
                     "index": chi.index,
                     "label": chi.label,
-                    "value": [value.real, value.imag],
+                    "value": pairs[chi.index],
                 },
             )
-        else:
+    else:
+        for chi in chars:
             out.write(
-                f"character {chi.index} at {chi.label!r}: value {_fmt(value)}\n"
+                f"character {chi.index} at {chi.label!r}: "
+                f"value {_fmt(values[chi.index])}\n"
             )
     return 0
 
 
 def _cmd_calculus(config: RunConfig, element, out) -> int:
     if not config.coefficients:
-        print("calculus needs --coeffs (ascending, e.g. '1,0,2')", file=sys.stderr)
-        return 2
+        return _fail("calculus needs --coeffs (ascending, e.g. '1,0,2')")
     result = apply_polynomial(config.coefficients, element)
     points = spectrum(result, config.tol).points
     if config.output_format == "structured":
         _emit(out, dump_element(result))
-        _emit(
-            out,
-            {
-                "kind": "spectrum",
-                "merge_tol": config.tol,
-                "points": [[p.real, p.imag] for p in points],
-            },
-        )
+        _emit(out, _spectrum_record(points, config.tol))
     else:
-        out.write(
-            "p(a) coordinates: "
-            + ", ".join(_fmt(v) for v in result.coords)
-            + "\n"
-        )
-        out.write(
-            "spectrum of p(a): " + ", ".join(_fmt(p) for p in points) + "\n"
-        )
+        out.write(f"p(a) coordinates: {_fmt_all(result.coords)}\n")
+        out.write(f"spectrum of p(a): {_fmt_all(points)}\n")
     return 0
 
 
 def _cmd_quotient(config: RunConfig, element, out) -> int:
     if not config.zero_set:
-        print("quotient needs --zero-set (labels, e.g. 'p,q')", file=sys.stderr)
-        return 2
+        return _fail("quotient needs --zero-set (labels, e.g. 'p,q')")
     algebra = element.algebra
     ideal = ideal_from_closed_set(algebra, config.zero_set)
     q, projection = quotient(algebra, ideal)
@@ -251,9 +217,7 @@ def _cmd_quotient(config: RunConfig, element, out) -> int:
     else:
         out.write(f"quotient dimension: {q.dim}\n")
         out.write(f"zero set: {', '.join(q.space.points)}\n")
-        out.write(
-            "coset values: " + ", ".join(_fmt(v) for v in image.coords) + "\n"
-        )
+        out.write(f"coset values: {_fmt_all(image.coords)}\n")
         out.write(f"quotient norm: {norm:.12g}\n")
     return 0
 
@@ -291,6 +255,16 @@ def _cmd_verify(config: RunConfig, out) -> int:
     return 1 if failed else 0
 
 
+_DATA_COMMANDS = {
+    "spectrum": _cmd_spectrum,
+    "classify": _cmd_classify,
+    "calculus": _cmd_calculus,
+    "quotient": _cmd_quotient,
+    "characters": _cmd_characters,
+}
+COMMANDS = (*_DATA_COMMANDS, "verify")
+
+
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
     try:
         return tuple(complex(tok.strip()) for tok in text.split(",") if tok.strip())
@@ -303,6 +277,7 @@ def _parse_labels(text: str) -> tuple[str, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Options named after the ``RunConfig`` fields, with its defaults."""
     parser = argparse.ArgumentParser(
         prog="cstarlab",
         description="Spectra, classification, quotients, and law verification "
@@ -311,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument(
         "--input",
+        dest="input_path",
+        metavar="INPUT",
         help="path to an interchange JSON document (default: stdin)",
     )
     parser.add_argument(
@@ -320,28 +297,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        default=1e-9,
-        help="comparison and merge tolerance (default 1e-9)",
+        default=RunConfig.tol,
+        help="comparison and merge tolerance (default %(default)g)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for the verify suite (default 0)"
+        "--seed",
+        type=int,
+        default=RunConfig.seed,
+        help="seed for the verify suite (default %(default)s)",
     )
     parser.add_argument(
         "--max-size",
         type=int,
-        default=8,
-        help="largest space or matrix size exercised by verify (default 8)",
+        default=RunConfig.max_size,
+        help="largest space or matrix size exercised by verify (default %(default)s)",
     )
     parser.add_argument(
         "--format",
         choices=FORMATS,
-        default="text",
+        default=RunConfig.output_format,
         dest="output_format",
         help="text for humans, structured for line-delimited JSON",
     )
     parser.add_argument(
         "--coeffs",
         type=_parse_coeffs,
+        dest="coefficients",
+        metavar="COEFFS",
         help="ascending polynomial coefficients for calculus, e.g. '1,0,2'",
     )
     parser.add_argument(
@@ -353,19 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        inline=args.inline,
-        tol=args.tol,
-        seed=args.seed,
-        max_size=args.max_size,
-        output_format=args.output_format,
-        coefficients=args.coeffs,
-        zero_set=args.zero_set,
-    )
-    return run(config)
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

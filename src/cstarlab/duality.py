@@ -89,7 +89,7 @@ def functor_F_object(algebra: CommutativeAlgebra) -> FiniteSpace:
     return characters(algebra).as_finite_space()
 
 
-def functor_F_morphism(phi, tol: float = PROBE_TOL) -> ContinuousMap:
+def functor_F_morphism(phi) -> ContinuousMap:
     """Pull back characters along a homomorphism: psi goes to psi . phi.
 
     The point map is recovered from the action of ``phi`` on the indicator
@@ -111,7 +111,7 @@ def functor_F_morphism(phi, tol: float = PROBE_TOL) -> ContinuousMap:
             abs(row[best] - 1.0),
             float(np.max(np.abs(np.delete(row, best)))) if len(row) > 1 else 0.0,
         )
-        if defect > tol:
+        if defect > PROBE_TOL:
             raise NotACharacter(
                 f"character {j} of the target pulls back to a functional "
                 f"that is not a character (defect {defect:.3e})"
@@ -148,7 +148,7 @@ def tau(algebra: CommutativeAlgebra) -> StarHomomorphism:
     )
 
 
-def mu(space: FiniteSpace, tol: float = PROBE_TOL) -> ContinuousMap:
+def mu(space: FiniteSpace) -> ContinuousMap:
     """Evaluation of a space inside the character space of its functions.
 
     Each point goes to the unique character sending that point's indicator
@@ -162,7 +162,7 @@ def mu(space: FiniteSpace, tol: float = PROBE_TOL) -> ContinuousMap:
     for i in range(space.size):
         probe = _indicator(algebra, i)
         hits = [
-            j for j, chi in enumerate(chars) if abs(chi(probe) - 1.0) <= tol
+            j for j, chi in enumerate(chars) if abs(chi(probe) - 1.0) <= PROBE_TOL
         ]
         if len(hits) != 1:
             raise DualityViolation(
@@ -176,9 +176,7 @@ def mu(space: FiniteSpace, tol: float = PROBE_TOL) -> ContinuousMap:
     return result
 
 
-def verify_naturality_tau(
-    phi: StarHomomorphism, tol: float = PROBE_TOL
-) -> NaturalitySquareReport:
+def verify_naturality_tau(phi: StarHomomorphism) -> NaturalitySquareReport:
     """Check the square comparing phi with its double-dual along tau.
 
     Both paths from the source algebra to functions on the target's
@@ -199,42 +197,30 @@ def verify_naturality_tau(
         kind="tau",
         morphism=f"{A.describe()} -> {B.describe()}",
         max_defect=max_defect,
-        commutes=max_defect <= tol,
+        commutes=max_defect <= PROBE_TOL,
     )
 
 
-def verify_naturality_mu(
-    f: ContinuousMap, tol: float = PROBE_TOL
-) -> NaturalitySquareReport:
+def verify_naturality_mu(f: ContinuousMap) -> NaturalitySquareReport:
     """Check the square comparing f with its double-dual along mu.
 
-    The two composite point maps are compared by probing with every
-    indicator function on the target space, so the defect is 0.0 when they
-    agree pointwise and 1.0 at any disagreeing point.
+    The two composite point maps land in the same character space, so the
+    defect is 0.0 when they agree pointwise and 1.0 at any disagreeing
+    point.
     """
     X, Y = f.source, f.target
     path_forward = f.then(mu(Y))
     path_dual = mu(X).then(functor_F_morphism(functor_G_morphism(f)))
-    target_algebra = FunctionAlgebra(Y)
-    chars_Y = characters(target_algebra).as_finite_space()
-    max_defect = 0.0
-    for i in range(X.size):
-        j_forward = chars_Y.index(path_forward.assignment[i])
-        j_dual = chars_Y.index(path_dual.assignment[i])
-        for g in range(target_algebra.dim):
-            probe = _indicator(target_algebra, g).coords
-            max_defect = max(
-                max_defect, abs(probe[j_forward] - probe[j_dual])
-            )
+    max_defect = float(path_forward.assignment != path_dual.assignment)
     return NaturalitySquareReport(
         kind="mu",
         morphism=f"{X!r} -> {Y!r}",
         max_defect=max_defect,
-        commutes=max_defect <= tol,
+        commutes=max_defect <= PROBE_TOL,
     )
 
 
-def verify_equivalence(subject, tol: float = PROBE_TOL) -> EquivalenceReport:
+def verify_equivalence(subject) -> EquivalenceReport:
     """Certify the equivalence data on one object.
 
     For a finite space: mu is a bijection.  For an algebra: tau is an
@@ -243,13 +229,13 @@ def verify_equivalence(subject, tol: float = PROBE_TOL) -> EquivalenceReport:
     multiplicativity with involution preservation on a basis family.
     """
     if isinstance(subject, FiniteSpace):
-        return _verify_space(subject, tol)
+        return _verify_space(subject)
     if isinstance(subject, CommutativeAlgebra):
-        return _verify_algebra(subject, tol)
+        return _verify_algebra(subject)
     raise TypeError(f"cannot verify {subject!r}")
 
 
-def _verify_space(space: FiniteSpace, tol: float) -> EquivalenceReport:
+def _verify_space(space: FiniteSpace) -> EquivalenceReport:
     name = repr(space)
     checks = []
     try:
@@ -269,14 +255,14 @@ def _verify_space(space: FiniteSpace, tol: float) -> EquivalenceReport:
         )
     except DualityViolation:
         checks.append(CheckRecord("mu_bijection", name, 1.0, False))
-    square = verify_naturality_mu(ContinuousMap.identity(space), tol)
+    square = verify_naturality_mu(ContinuousMap.identity(space))
     checks.append(
         CheckRecord("mu_identity_square", name, square.max_defect, square.commutes)
     )
     return EquivalenceReport(name, tuple(checks))
 
 
-def _verify_algebra(algebra: CommutativeAlgebra, tol: float) -> EquivalenceReport:
+def _verify_algebra(algebra: CommutativeAlgebra) -> EquivalenceReport:
     name = algebra.describe()
     checks = []
     dual = transform_target(algebra)
@@ -302,10 +288,12 @@ def _verify_algebra(algebra: CommutativeAlgebra, tol: float) -> EquivalenceRepor
         (gelfand_inverse(algebra, gelfand_transform(a)) - a).norm() for a in family
     )
     checks.append(
-        CheckRecord("tau_injective_round_trip", name, round_trip, round_trip <= tol)
+        CheckRecord(
+            "tau_injective_round_trip", name, round_trip, round_trip <= PROBE_TOL
+        )
     )
     isometry = max(abs(gelfand_transform(a).norm() - a.norm()) for a in family)
-    checks.append(CheckRecord("tau_isometry", name, isometry, isometry <= tol))
+    checks.append(CheckRecord("tau_isometry", name, isometry, isometry <= PROBE_TOL))
 
     mult = 0.0
     star_defect = 0.0
@@ -322,8 +310,8 @@ def _verify_algebra(algebra: CommutativeAlgebra, tol: float) -> EquivalenceRepor
                     - gelfand_transform(a) * gelfand_transform(b)
                 ).norm(),
             )
-    checks.append(CheckRecord("tau_multiplicative", name, mult, mult <= tol))
+    checks.append(CheckRecord("tau_multiplicative", name, mult, mult <= PROBE_TOL))
     checks.append(
-        CheckRecord("tau_star_preserving", name, star_defect, star_defect <= tol)
+        CheckRecord("tau_star_preserving", name, star_defect, star_defect <= PROBE_TOL)
     )
     return EquivalenceReport(name, tuple(checks))

@@ -7,6 +7,8 @@ attribute instead of burying it in the message.
 
 from __future__ import annotations
 
+import math
+
 
 class CstarError(Exception):
     """Base class for all errors raised by this package."""
@@ -24,18 +26,37 @@ class AlgebraMismatch(CstarError):
     """Two operands live in different algebras."""
 
 
+def _unscale(x: float, k: int) -> tuple[float, str]:
+    """x 2^k for x >= 0, as a float (inf where that overflows) and in the
+    form of ``f"{x 2^k:.3e}"``, which stays finite."""
+    try:
+        value = math.ldexp(x, k)
+        return value, f"{value:.3e}"
+    except OverflowError:
+        exp10 = math.log10(x) + k * math.log10(2.0)
+        e = math.floor(exp10)
+        mantissa = round(10.0 ** (exp10 - e), 3)
+        if mantissa >= 10.0:
+            mantissa, e = mantissa / 10.0, e + 1
+        return math.inf, f"{mantissa:.3f}e+{e}"
+
+
 class NotNormal(CstarError):
     """A generator matrix failed the normality test N N* = N* N.
 
-    ``defect`` is the Frobenius norm of the commutator N N* - N* N.
+    ``defect`` is the Frobenius norm of the commutator N N* - N* N and
+    ``bound`` the largest norm accepted; either reads inf where it overflows
+    a float.  Both are passed in units of ``2^exponent``, where they stay
+    finite, and the message is written from those.
     """
 
-    def __init__(self, defect: float, bound: float):
-        self.defect = float(defect)
-        self.bound = float(bound)
+    def __init__(self, defect: float, bound: float, exponent: int = 0):
+        self.defect, defect_text = _unscale(defect, exponent)
+        self.bound, bound_text = _unscale(bound, exponent)
+        ratio = defect / bound if bound else math.inf
         super().__init__(
-            f"matrix is not normal: commutator norm {self.defect:.3e} "
-            f"exceeds bound {self.bound:.3e}"
+            f"matrix is not normal: commutator norm {defect_text} "
+            f"exceeds bound {bound_text} ({ratio:.3g} times the bound)"
         )
 
 

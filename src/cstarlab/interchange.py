@@ -33,6 +33,7 @@ __all__ = [
     "load_document",
     "load_path",
     "dump_element",
+    "complex_pairs",
     "document_to_json",
 ]
 
@@ -53,9 +54,11 @@ def _as_complex(pair: Any, what: str) -> complex:
     return complex(re, im)
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def complex_pairs(values) -> list[list[float]]:
+    """The [re, im] pair of each value, as Python floats."""
+    z = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    # stored as re, im, re, im, ...: the pairs are a view, not a copy
+    return z.view(np.float64).reshape(-1, 2).tolist()
 
 
 def load_document(
@@ -127,14 +130,14 @@ def dump_element(a: AlgebraElement) -> dict:
         return {
             "kind": "function_algebra",
             "points": list(algebra.space.points),
-            "values": [_pair(v) for v in a.coords],
+            "values": complex_pairs(a.coords),
         }
     if isinstance(algebra, NormalGeneratorAlgebra):
         dense = algebra.materialize(a)
         return {
             "kind": "normal_matrix",
             "n": algebra.dimension_n,
-            "entries": [_pair(v) for v in dense.reshape(-1)],
+            "entries": complex_pairs(dense),
         }
     raise TypeError(f"cannot serialize elements of {algebra!r}")
 

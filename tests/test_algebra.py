@@ -1,5 +1,7 @@
 """Core algebra models: construction, operations, homomorphisms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cstarlab import (
     AlgebraMismatch,
     ContinuousMap,
     CstarError,
+    DecompositionFailure,
     FiniteSpace,
     FunctionAlgebra,
     InvalidPointMap,
@@ -200,6 +203,56 @@ def test_huge_normal_matrix_keeps_its_spectrum():
     hermitian = make_normal_generator_algebra([[1e200, 1e200], [1e200, 1e200]])
     radius = max(abs(p) for p in hermitian.distinct_spectrum.points)
     assert radius == pytest.approx(2e200)
+
+
+def test_not_normal_message_stays_finite():
+    with pytest.raises(NotNormal) as info:
+        make_normal_generator_algebra([[1e200, 1e200], [0, 1e200]])
+    assert info.value.defect == np.inf  # the unscaled value overflows
+    message = str(info.value)
+    assert "inf" not in message
+    assert "commutator norm 1.414e+400 exceeds bound 3.000e+390" in message
+    assert "4.71e+09 times the bound" in message
+
+
+def test_generators_near_the_float_limit_keep_their_spectra():
+    # Hermitian and anti-Hermitian parts overflow unless they are scaled
+    rotation = make_normal_generator_algebra([[1e308, -1e308], [1e308, 1e308]])
+    points = np.array(rotation.distinct_spectrum.points)
+    assert np.allclose(points, [1e308 - 1e308j, 1e308 + 1e308j], rtol=1e-12, atol=0)
+    hermitian = make_normal_generator_algebra([[1e308, 1e308], [1e308, -1e308]])
+    points = np.array(hermitian.distinct_spectrum.points)
+    assert points.real == pytest.approx([-np.sqrt(2) * 1e308, np.sqrt(2) * 1e308])
+    assert np.all(points.imag == 0)
+
+
+def test_huge_diagonal_generator_builds_without_floating_point_warnings():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        algebra = make_normal_generator_algebra(np.diag([1e308, 1e308]))
+    assert algebra.distinct_spectrum.points == (1e308 + 0j,)
+
+
+def test_overflowing_eigenvalue_is_one_error_naming_the_overflow():
+    # the spectrum is {0, 2e308}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as info:
+            make_normal_generator_algebra([[1e308, 1e308], [1e308, 1e308]])
+    message = str(info.value)
+    assert "overflow" in message
+    assert "\n" not in message
+
+
+def test_reconstruction_verdict_is_invariant_under_power_of_two_scaling():
+    # normal to within the normality tolerance, but 7e-7 away from the
+    # reconstruction of its joint diagonalization
+    sheared = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    for k in (0, 300, -300):
+        with pytest.raises(DecompositionFailure):
+            make_normal_generator_algebra(np.ldexp(sheared, k))
+    zero = make_normal_generator_algebra(np.zeros((3, 3)))
+    assert zero.distinct_spectrum.points == (0j,)
 
 
 def test_normality_verdict_is_invariant_under_power_of_two_scaling():

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -145,6 +146,24 @@ HUGE_SHEAR = json.dumps(
 )
 
 
+# Hermitian with spectrum {0, 2e308}: the largest eigenvalue overflows
+HUGE_HERMITIAN = json.dumps(
+    {
+        "kind": "normal_matrix",
+        "n": 2,
+        "entries": [[1e308, 0.0], [1e308, 0.0], [1e308, 0.0], [1e308, 0.0]],
+    }
+)
+
+HUGE_DIAGONAL = json.dumps(
+    {
+        "kind": "normal_matrix",
+        "n": 2,
+        "entries": [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [1e308, 0.0]],
+    }
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -155,6 +174,7 @@ HUGE_SHEAR = json.dumps(
         ["quotient", "--inline", HUGE_MODULUS, "--zero-set", "p"],
         ["quotient", "--inline", HUGE_MODULUS, "--zero-set", "p", "--format", "structured"],
         ["spectrum", "--inline", HUGE_SHEAR],
+        ["spectrum", "--inline", HUGE_HERMITIAN],
     ],
     ids=[
         "huge-int-document",
@@ -164,6 +184,7 @@ HUGE_SHEAR = json.dumps(
         "overflow-quotient-norm-text",
         "overflow-quotient-norm-structured",
         "huge-non-normal-matrix",
+        "huge-hermitian-matrix",
     ],
 )
 def test_overflow_and_nan_exit_2_with_one_line(argv):
@@ -179,9 +200,69 @@ def test_overflow_and_nan_exit_2_with_one_line(argv):
     assert proc.stderr.count("\n") == 1
 
 
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "function_algebra", "points": ["\xe9"]}')
+    assert run_cli(command="spectrum", input_path=str(path))[0] == 2
+    assert capsys.readouterr().err.startswith("cannot read input: ")
+
+
+def test_huge_normal_matrix_exits_0_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cstarlab", "spectrum", "--inline", HUGE_DIAGONAL],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "lambda[0] = 1e+308+0j" in proc.stdout
+
+
 def test_missing_file_exits_2(capsys):
     assert run_cli(command="spectrum", input_path="/no/such/file.json")[0] == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+class BrokenOutput(io.StringIO):
+    def write(self, text):
+        raise OSError("output closed")
+
+
+def test_write_error_is_not_reported_as_a_read_error(capsys):
+    with pytest.raises(OSError, match="output closed"):
+        cli.run(cli.RunConfig(command="spectrum", inline=DIAG123), BrokenOutput())
+    assert capsys.readouterr().err == ""
+
+
+def test_parser_defaults_are_the_run_config_defaults():
+    args = cli.build_parser().parse_args(["verify"])
+    assert cli.RunConfig(**vars(args)) == cli.RunConfig(command="verify")
+
+
+# sha256 prefixes of ``verify --format structured``; a refactor that changes
+# any byte of these streams changes behaviour
+GOLDEN_VERIFY_STREAMS = {
+    (0, 1): "92b25a78467f",
+    (0, 4): "d64c14180bd9",
+    (0, 8): "ce4b0f0ac4f8",
+    (1, 1): "261842555b61",
+    (1, 4): "c1cc8672b889",
+    (1, 8): "020d093d5a44",
+    (42, 1): "448c59f9d55f",
+    (42, 4): "5080da951f9a",
+    (42, 8): "dc6b938ce307",
+}
+
+
+@pytest.mark.parametrize("seed, max_size", sorted(GOLDEN_VERIFY_STREAMS))
+def test_structured_verify_stream_is_golden(seed, max_size):
+    code, text = run_cli(
+        command="verify", seed=seed, max_size=max_size, output_format="structured"
+    )
+    assert code == 0
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    assert digest == GOLDEN_VERIFY_STREAMS[seed, max_size]
 
 
 def test_verify_text_summary():

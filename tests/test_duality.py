@@ -188,6 +188,20 @@ def test_mu_naturality_squares_commute_exhaustively():
             assert report.max_defect == 0.0
 
 
+def test_mu_naturality_detects_a_wrong_double_dual(monkeypatch):
+    # F(G(f)) replaced by a constant map: the two composites disagree
+    def constant(phi):
+        source = functor_F_object(phi.target)
+        target = functor_F_object(phi.source)
+        return ContinuousMap(source, target, (target.points[0],) * source.size)
+
+    monkeypatch.setattr(duality, "functor_F_morphism", constant)
+    X = space_of(3)
+    report = verify_naturality_mu(ContinuousMap.identity(X))
+    assert not report.commutes
+    assert report.max_defect == 1.0
+
+
 def test_tau_naturality_includes_matrix_sources():
     A = make_normal_generator_algebra(np.diag([0.0, 1.0, 1.0]))
     B = make_function_algebra(("u", "v"))

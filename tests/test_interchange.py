@@ -15,7 +15,7 @@ from cstarlab import (
     make_function_algebra,
     spectrum,
 )
-from cstarlab.interchange import document_to_json
+from cstarlab.interchange import complex_pairs, document_to_json
 
 
 FUNCTION_DOC = json.dumps(
@@ -128,3 +128,12 @@ def test_function_dump_shape():
         "points": ["p"],
         "values": [[2.5, 0.5]],
     }
+
+
+def test_complex_pairs_match_the_scalar_encoding():
+    values = np.array([1.5 - 0j, -0.0 + 2j, 1e308 - 1e-308j, 0.1 + 0.2j])
+    pairs = complex_pairs(values)
+    assert pairs == [[complex(z).real, complex(z).imag] for z in values]
+    assert all(type(x) is float for pair in pairs for x in pair)
+    assert json.dumps(pairs) == json.dumps([[z.real, z.imag] for z in values.tolist()])
+    assert complex_pairs(np.zeros((2, 2))) == [[0.0, 0.0]] * 4
