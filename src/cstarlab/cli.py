@@ -89,8 +89,10 @@ def run(config: RunConfig, out=None) -> int:
         return _fail(f"unknown command {config.command!r}")
     if config.output_format not in FORMATS:
         return _fail(f"unknown format {config.output_format!r}")
-    if not config.tol > 0:
-        return _fail("--tol must be positive")
+    if not 0 < config.tol < math.inf:
+        return _fail("--tol must be positive and finite")
+    if config.seed < 0:
+        return _fail("--seed must be non-negative")
     if config.max_size < 1:
         return _fail("--max-size must be at least 1")
 

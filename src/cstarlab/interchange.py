@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -39,10 +41,11 @@ __all__ = [
 
 
 def _as_complex(pair: Any, what: str) -> complex:
+    # exact types, as JSON gives them: bool is a subclass of int
     if (
-        not isinstance(pair, (list, tuple))
+        type(pair) is not list
         or len(pair) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
+        or any(type(x) not in (int, float) for x in pair)
     ):
         raise InvalidDocument(f"{what} must be a [re, im] pair, got {pair!r}")
     try:
@@ -52,6 +55,30 @@ def _as_complex(pair: Any, what: str) -> complex:
     if not (math.isfinite(re) and math.isfinite(im)):
         raise InvalidDocument(f"{what} must be finite, got {pair!r}")
     return complex(re, im)
+
+
+def _complex_array(pairs: list, what: str) -> np.ndarray:
+    """The values of a list of [re, im] pairs, checked and converted in bulk.
+
+    ``np.fromiter`` alone would read ``true`` as 1.0, ``"1.5"`` as 1.5 and
+    ``null`` as nan, so the exact types are checked first.  A list that
+    fails a check goes through ``_as_complex`` pair by pair, which names
+    the first bad entry.
+    """
+    if (
+        set(map(type, pairs)) <= {list}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, chain.from_iterable(pairs))) <= {int, float}
+    ):
+        # an int too large for a float raises OverflowError, as in float()
+        with suppress(OverflowError):
+            flat = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+            if np.isfinite(flat).all():
+                # re, im, re, im, ...: the complex values are a view
+                return flat.view(np.complex128)
+    for i, pair in enumerate(pairs):
+        _as_complex(pair, f"{what}[{i}]")
+    raise AssertionError(f"{what} passed _as_complex but not the bulk check")
 
 
 def complex_pairs(values) -> list[list[float]]:
@@ -96,8 +123,7 @@ def _load_function_algebra(doc: dict) -> AlgebraElement:
         space = FiniteSpace(tuple(points))
     except CstarError as exc:
         raise InvalidDocument(str(exc)) from exc
-    coords = [_as_complex(v, f"values[{i}]") for i, v in enumerate(values)]
-    return FunctionAlgebra(space).element(coords)
+    return FunctionAlgebra(space).element(_complex_array(values, "values"))
 
 
 def _load_normal_matrix(
@@ -109,8 +135,7 @@ def _load_normal_matrix(
         raise InvalidDocument("'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n * n:
         raise InvalidDocument(f"'entries' must hold exactly n*n = {n * n} pairs")
-    flat = [_as_complex(v, f"entries[{i}]") for i, v in enumerate(entries)]
-    matrix = np.array(flat, dtype=complex).reshape(n, n)
+    matrix = _complex_array(entries, "entries").reshape(n, n)
     kwargs = {}
     if eigenvalue_merge_tol is not None:
         kwargs["eigenvalue_merge_tol"] = eigenvalue_merge_tol

@@ -6,9 +6,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cstarlab import cli, verify
+from cstarlab.interchange import complex_pairs
 from cstarlab.verify import CheckRecord
 
 DIAG123 = json.dumps(
@@ -108,6 +110,12 @@ def test_unknown_command_and_bad_flags(capsys):
     assert run_cli(command="spectrum", inline=FUNC, tol=0.0)[0] == 2
     assert run_cli(command="verify", max_size=0)[0] == 2
     capsys.readouterr()
+    # inf would be written as the invalid JSON token Infinity
+    for tol in (float("inf"), float("nan")):
+        assert run_cli(command="spectrum", inline=FUNC, tol=tol) == (2, "")
+        assert capsys.readouterr().err == "--tol must be positive and finite\n"
+    assert run_cli(command="verify", seed=-1) == (2, "")
+    assert capsys.readouterr().err == "--seed must be non-negative\n"
 
 
 def test_invalid_documents_exit_2(capsys):
@@ -263,6 +271,70 @@ def test_structured_verify_stream_is_golden(seed, max_size):
     assert code == 0
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     assert digest == GOLDEN_VERIFY_STREAMS[seed, max_size]
+
+
+def _golden_documents() -> dict[str, str]:
+    """A 16x16 normal matrix with 4 eigenvalues of multiplicity 4, and 40 points."""
+    rng = np.random.default_rng(7)
+    distinct = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+    Q, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    matrix = (Q * np.repeat(distinct, 4)) @ Q.conj().T
+    values = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+    return {
+        "matrix": json.dumps(
+            {"kind": "normal_matrix", "n": 16, "entries": complex_pairs(matrix)}
+        ),
+        "functions": json.dumps(
+            {
+                "kind": "function_algebra",
+                "points": [f"x{k}" for k in range(40)],
+                "values": complex_pairs(values),
+            }
+        ),
+    }
+
+
+GOLDEN_DOCUMENTS = _golden_documents()
+GOLDEN_ZERO_SETS = {"matrix": ("0", "2"), "functions": ("x3", "x17", "x29")}
+
+# sha256 prefixes of each data command's stdout on the documents above; a
+# change to parsing, construction or dumping that moves a byte moves these
+GOLDEN_DATA_STREAMS = {
+    ("calculus", "functions", "structured"): "0ee82d8ab22f",
+    ("calculus", "functions", "text"): "6717b5def5b1",
+    ("calculus", "matrix", "structured"): "d6637f7bc40d",
+    ("calculus", "matrix", "text"): "a77d57481957",
+    ("characters", "functions", "structured"): "a13ffa14e4ca",
+    ("characters", "functions", "text"): "f54a6953641a",
+    ("characters", "matrix", "structured"): "81ca6b99d47f",
+    ("characters", "matrix", "text"): "1100dd9ae801",
+    ("classify", "functions", "structured"): "ae16a8f2c647",
+    ("classify", "functions", "text"): "512dc1cda3e3",
+    ("classify", "matrix", "structured"): "bc95f1cdea0d",
+    ("classify", "matrix", "text"): "fc6071ed1b7f",
+    ("quotient", "functions", "structured"): "6e1491872a11",
+    ("quotient", "functions", "text"): "823b31098e7a",
+    ("quotient", "matrix", "structured"): "1ce4b18c2b4d",
+    ("quotient", "matrix", "text"): "4cec99202a2a",
+    ("spectrum", "functions", "structured"): "2fb88cfd4b96",
+    ("spectrum", "functions", "text"): "c1ad0a3a0a27",
+    ("spectrum", "matrix", "structured"): "8745918ad22d",
+    ("spectrum", "matrix", "text"): "35f50459081d",
+}
+
+
+@pytest.mark.parametrize("command, doc, fmt", sorted(GOLDEN_DATA_STREAMS))
+def test_data_command_output_is_golden(command, doc, fmt):
+    code, text = run_cli(
+        command=command,
+        inline=GOLDEN_DOCUMENTS[doc],
+        output_format=fmt,
+        coefficients=(0.5, -1 + 0.25j, 0.125j),
+        zero_set=GOLDEN_ZERO_SETS[doc],
+    )
+    assert code == 0
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    assert digest == GOLDEN_DATA_STREAMS[command, doc, fmt]
 
 
 def test_verify_text_summary():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cstarlab import (
     FunctionAlgebra,
@@ -15,7 +17,12 @@ from cstarlab import (
     make_function_algebra,
     spectrum,
 )
-from cstarlab.interchange import complex_pairs, document_to_json
+from cstarlab.interchange import (
+    _as_complex,
+    _complex_array,
+    complex_pairs,
+    document_to_json,
+)
 
 
 FUNCTION_DOC = json.dumps(
@@ -84,6 +91,14 @@ def test_load_path_reads_files(tmp_path):
         '{"kind": "function_algebra", "points": ["a"], "values": [[1, 0, 0]]}',
         '{"kind": "function_algebra", "points": ["a"], "values": [[true, false]]}',
         '{"kind": "function_algebra", "points": ["a"], "values": [[Infinity, 0]]}',
+        # values np.fromiter would take silently: true as 1.0, "1.5" as 1.5,
+        # null as nan; a nested list; 1e400, which JSON reads as inf
+        '{"kind": "function_algebra", "points": ["a", "b", "c"],'
+        ' "values": [[1, 0], [true, 0], [2, 0]]}',
+        '{"kind": "function_algebra", "points": ["a"], "values": [["1.5", 0]]}',
+        '{"kind": "function_algebra", "points": ["a"], "values": [[null, 0]]}',
+        '{"kind": "function_algebra", "points": ["a"], "values": [[[1], 0]]}',
+        '{"kind": "normal_matrix", "n": 1, "entries": [[1e400, 0]]}',
         '{"kind": "function_algebra", "points": [], "values": []}',
         '{"kind": "normal_matrix", "n": 2, "entries": [[0, 0]]}',
         '{"kind": "normal_matrix", "n": "two", "entries": []}',
@@ -103,6 +118,37 @@ def test_load_path_reads_files(tmp_path):
 def test_malformed_documents_are_rejected(text):
     with pytest.raises(InvalidDocument):
         load_document(text)
+
+
+def test_first_bad_pair_is_the_one_reported():
+    # entry 1 fails the finite check and entry 2 the type check
+    doc = (
+        '{"kind": "normal_matrix", "n": 2,'
+        ' "entries": [[1, 0], [1e400, 0], [true, 0], [0, 0]]}'
+    )
+    with pytest.raises(InvalidDocument) as info:
+        load_document(doc)
+    assert str(info.value) == "entries[1] must be finite, got [inf, 0]"
+
+
+# any JSON number: floats (with -0.0 and subnormals) and ints of any size
+# that fit a float
+components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(10**300), max_value=10**300),
+)
+
+
+@given(st.lists(st.lists(components, min_size=2, max_size=2), max_size=40))
+@example([[-0.0, 5e-324], [2.2250738585072014e-308 / 3, -0.0]])
+# the int to float rounding of numpy is that of float(): 2**53 + 1 is not
+# a float, and 2**63 and 2**64 + 1 do not fit an int64
+@example([[2**53 + 1, 2**63], [2**64 + 1, 10**300], [-(2**64 + 1), -(2**53 + 1)]])
+def test_bulk_decode_equals_the_per_pair_oracle(pairs):
+    oracle = np.array([_as_complex(p, f"values[{i}]") for i, p in enumerate(pairs)])
+    decoded = _complex_array(pairs, "values")
+    assert decoded.dtype == np.complex128
+    assert decoded.tobytes() == oracle.astype(np.complex128).tobytes()
 
 
 def test_non_normal_matrix_is_reported_as_such():
