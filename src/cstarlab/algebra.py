@@ -27,6 +27,7 @@ from .errors import (
     InvalidSubset,
     NonFinite,
     NotNormal,
+    _unscale,
 )
 from .spaces import FiniteSpace
 from .spectra import SpectrumSet, dedup_points
@@ -46,15 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_NORMALITY_TOL = 1e-10
+# relative to 2^k, the power of two above the generator's largest entry
 DEFAULT_EIGENVALUE_MERGE_TOL = 1e-8
-
-
-def _ldexp(x: float, k: int) -> float:
-    """x 2^k for x >= 0, or inf where that leaves the float range."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return math.inf
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -140,13 +134,17 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
     normal), deduplicates the eigenvalues, and stores the unitary change of
     basis.  Elements are functions on the distinct spectrum; ``materialize``
     turns coordinates back into a dense matrix.
+
+    The cluster gap and ``eigenvalue_merge_tol`` are relative to 2^k, the
+    power of two above the largest real or imaginary part of an entry, so
+    c N generates an algebra of the same dimension as N for every c > 0.
+    ``distinct_spectrum.merge_tol`` is the absolute cutoff that was applied.
     """
 
     def __init__(
         self,
         matrix,
         *,
-        normality_tol: float = DEFAULT_NORMALITY_TOL,
         eigenvalue_merge_tol: float = DEFAULT_EIGENVALUE_MERGE_TOL,
     ):
         M = np.asarray(matrix, dtype=complex)
@@ -157,15 +155,15 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         n = M.shape[0]
         # Everything below works on Ms = M 2^-k (see _scaled_commutator), in
         # units of 2^k; scaling by a power of two is exact, so each verdict
-        # is the unscaled one wherever the unscaled arithmetic stayed in range.
+        # is the unscaled one wherever the unscaled arithmetic stayed in range,
+        # and the cluster gap and the merge cutoff scale with M.
         k, Ms, defect_s = _scaled_commutator(M)
         fro_s = float(np.linalg.norm(Ms))
-        bound_s = normality_tol * fro_s * fro_s
+        bound_s = DEFAULT_NORMALITY_TOL * fro_s * fro_s
         if not defect_s <= bound_s:
             raise NotNormal(defect_s, bound_s, 2 * k)
 
-        # the floor 2^-k is 1 in units of 2^k: the clusters are those of M
-        U, eigs_s = _joint_diagonalize(Ms, 2.0**-k)
+        U, eigs_s = _joint_diagonalize(Ms)
         unitary_defect = float(np.linalg.norm(U.conj().T @ U - np.eye(n)))
         if unitary_defect > 1e-12 * n:
             raise DecompositionFailure(
@@ -177,25 +175,26 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         if not recon_s <= recon_bound_s:
             raise DecompositionFailure(
                 f"diagonalization does not reproduce the generator: "
-                f"defect {_ldexp(recon_s, k):.3e} "
-                f"exceeds {_ldexp(recon_bound_s, k):.3e}"
+                f"defect {_unscale(recon_s, k)[1]} "
+                f"exceeds {_unscale(recon_bound_s, k)[1]}"
             )
         top_s = float(np.abs(eigs_s.view(np.float64)).max())  # largest |Re|, |Im|
-        if _ldexp(top_s, k) == math.inf:
+        if _unscale(top_s, k)[0] == math.inf:
             raise NonFinite("an eigenvalue of the generator overflows a float")
         # two exact factors, because 2.0**k overflows at k = 1024
         eigs = eigs_s * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
-        reps, assign = dedup_points(eigs, eigenvalue_merge_tol)
+        merge_tol = _unscale(eigenvalue_merge_tol, k)[0]
+        reps, assign = dedup_points(eigs, merge_tol)
         self.dimension_n = n
         # adding 0.0 turns -0.0 into 0.0, so equal generators have equal bytes
         self.generator = _readonly(np.add(M, 0.0, order="C"))
         self.eigenvalues = tuple(complex(v) for v in eigs)
         self.eigenvectors = _readonly(U)
-        self.distinct_spectrum = SpectrumSet(reps, eigenvalue_merge_tol)
+        self.distinct_spectrum = SpectrumSet(reps, merge_tol)
         self.multiplicity_map = assign
-        self.normality_defect = _ldexp(defect_s, 2 * k)
-        self.reconstruction_defect = _ldexp(recon_s, k)
+        self.normality_defect = _unscale(defect_s, 2 * k)[0]
+        self.reconstruction_defect = _unscale(recon_s, k)[0]
         self.dim = len(reps)
 
     def character_label(self, i: int) -> str:
@@ -273,21 +272,22 @@ def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
     return k, Ms, float(np.linalg.norm(Ms @ Ms_star - Ms_star @ Ms))
 
 
-def _joint_diagonalize(M: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unitary U and eigenvalue vector of a normal matrix.
 
     Diagonalizes the Hermitian part, then fixes the basis inside clusters of
     nearly equal eigenvalues by diagonalizing the anti-Hermitian part there.
     Clusters are needed because eigenvectors of nearly degenerate Hermitian
     eigenvalues are individually ill-conditioned even though their span is
-    stable.  Hermitian eigenvalues closer than 2e-8 max(floor, max |w|)
-    form a cluster.
+    stable.  Hermitian eigenvalues closer than 2e-8 max(1, max |w|) form a
+    cluster; M is the generator scaled so that its largest entry is near 1,
+    so the 1 is the generator's own scale.
     """
     n = M.shape[0]
     # K is formed after eigh so that it is not held during the call
     w, U = np.linalg.eigh((M + M.conj().T) / 2)
     K = (M - M.conj().T) / 2j
-    gap_tol = 2e-8 * max(floor, float(np.max(np.abs(w))))
+    gap_tol = 2e-8 * max(1.0, float(np.max(np.abs(w))))
     start = 0
     for stop in range(1, n + 1):
         if stop < n and w[stop] - w[stop - 1] <= gap_tol:
@@ -425,17 +425,10 @@ def make_function_algebra(space: FiniteSpace) -> FunctionAlgebra:
 
 
 def make_normal_generator_algebra(
-    matrix,
-    *,
-    normality_tol: float = DEFAULT_NORMALITY_TOL,
-    eigenvalue_merge_tol: float = DEFAULT_EIGENVALUE_MERGE_TOL,
+    matrix, *, eigenvalue_merge_tol: float = DEFAULT_EIGENVALUE_MERGE_TOL
 ) -> NormalGeneratorAlgebra:
     """The commutative algebra generated by one normal matrix."""
-    return NormalGeneratorAlgebra(
-        matrix,
-        normality_tol=normality_tol,
-        eigenvalue_merge_tol=eigenvalue_merge_tol,
-    )
+    return NormalGeneratorAlgebra(matrix, eigenvalue_merge_tol=eigenvalue_merge_tol)
 
 
 def make_star_homomorphism(

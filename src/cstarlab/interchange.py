@@ -88,9 +88,7 @@ def complex_pairs(values) -> list[list[float]]:
     return z.view(np.float64).reshape(-1, 2).tolist()
 
 
-def load_document(
-    text: str, *, eigenvalue_merge_tol: float | None = None
-) -> AlgebraElement:
+def load_document(text: str) -> AlgebraElement:
     """Parse an interchange document into an element of its algebra."""
     try:
         doc = json.loads(text)
@@ -104,7 +102,7 @@ def load_document(
     if kind == "function_algebra":
         return _load_function_algebra(doc)
     if kind == "normal_matrix":
-        return _load_normal_matrix(doc, eigenvalue_merge_tol)
+        return _load_normal_matrix(doc)
     raise InvalidDocument(f"unknown document kind {kind!r}")
 
 
@@ -126,9 +124,7 @@ def _load_function_algebra(doc: dict) -> AlgebraElement:
     return FunctionAlgebra(space).element(_complex_array(values, "values"))
 
 
-def _load_normal_matrix(
-    doc: dict, eigenvalue_merge_tol: float | None
-) -> AlgebraElement:
+def _load_normal_matrix(doc: dict) -> AlgebraElement:
     n = doc.get("n")
     entries = doc.get("entries")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -136,16 +132,12 @@ def _load_normal_matrix(
     if not isinstance(entries, list) or len(entries) != n * n:
         raise InvalidDocument(f"'entries' must hold exactly n*n = {n * n} pairs")
     matrix = _complex_array(entries, "entries").reshape(n, n)
-    kwargs = {}
-    if eigenvalue_merge_tol is not None:
-        kwargs["eigenvalue_merge_tol"] = eigenvalue_merge_tol
-    algebra = NormalGeneratorAlgebra(matrix, **kwargs)
-    return algebra.generator_element()
+    return NormalGeneratorAlgebra(matrix).generator_element()
 
 
-def load_path(path: str, **kwargs) -> AlgebraElement:
+def load_path(path: str) -> AlgebraElement:
     with open(path, "r", encoding="utf-8") as handle:
-        return load_document(handle.read(), **kwargs)
+        return load_document(handle.read())
 
 
 def dump_element(a: AlgebraElement) -> dict:

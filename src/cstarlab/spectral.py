@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .errors import (
     DomainError,
+    NonFinite,
     NormTooLarge,
     NotInvertible,
     Overflow,
@@ -87,8 +88,9 @@ class ClassificationReport:
 
 
 def invertibility_tolerance(a: AlgebraElement) -> float:
-    """Scale-relative cutoff below which a character value counts as zero."""
-    return 1e-10 * (1.0 + a.norm())
+    """Cutoff, relative to norm(a), at or below which a character value
+    counts as zero; the zero element is therefore not invertible."""
+    return 1e-10 * a.norm()
 
 
 def neumann_inverse(
@@ -172,8 +174,8 @@ def perturbation_inverse(
 def is_invertible(a: AlgebraElement, tol: float | None = None) -> bool:
     """Whether every character value stays clear of zero.
 
-    The default cutoff is scale-relative so that rescaling an element does
-    not flip the verdict for well-separated spectra.
+    The default cutoff is relative to norm(a), so rescaling an element does
+    not change the verdict.
     """
     cutoff = invertibility_tolerance(a) if tol is None else tol
     return bool(np.min(np.abs(a.coords)) > cutoff)
@@ -261,7 +263,7 @@ def operator_norm(matrix) -> float:
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError("operator_norm expects a square matrix")
     if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFinite("matrix entries must be finite")
     G = M.conj().T @ M
     f = float(np.linalg.norm(G))
     if f == 0.0:
@@ -333,10 +335,13 @@ def classify_element(a: AlgebraElement, tol: float = 1e-9) -> ClassificationRepo
     self-adjoint: a = a*;  unitary: a* a = e;  projection: a^2 = a and
     a = a*;  positive: a = b b* for the principal square root b of a.
     """
-    e = a.algebra.unit()
-    sa_defect = (a - a.star()).norm()
-    un_defect = (a.star() * a - e).norm()
-    pr_defect = max((a * a - a).norm(), sa_defect)
+    z = a.coords
+    # |z|^2 and z^2 overflow above about 1e154, where a is neither unitary
+    # nor a projection: those two defects read inf, the other two stay finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        sa_defect = float(np.max(np.abs(z - z.conj())))
+        un_defect = float(np.max(np.abs(z.conj() * z - 1.0)))
+        pr_defect = max(float(np.max(np.abs(z * z - z))), sa_defect)
     root = apply_function(cmath.sqrt, a)
     pos_gap = np.abs((root * root.star() - a).coords)
     pos_defect = float(np.max(pos_gap))

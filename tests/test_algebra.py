@@ -20,6 +20,7 @@ from cstarlab import (
     NonFinite,
     NotNormal,
     StarHomomorphism,
+    classify_element,
     make_function_algebra,
     make_normal_generator_algebra,
     make_star_homomorphism,
@@ -292,6 +293,74 @@ def test_construction_verdict_does_not_depend_on_scale():
         expected = construction_outcome(M)
         for scale in (1e-150, 1e150):
             assert construction_outcome(M * scale) == expected, (t, scale)
+
+
+def conjugated(eigenvalues, seed: int = 0) -> np.ndarray:
+    """Q diag(eigenvalues) Q* for a seeded unitary Q."""
+    n = len(eigenvalues)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (Q * np.asarray(eigenvalues, dtype=complex)) @ Q.conj().T
+
+
+# two double eigenvalues each; S is skew-Hermitian, so its Hermitian part is
+# nearly zero and the whole spectrum is one cluster of the first eigh
+SCALE_GENERATORS = {
+    "N": conjugated([1, 1, 2, 2, 3, 3j]),
+    "S": conjugated([1j, 1j, 2j, 2j, 3j, -1j]),
+}
+
+
+@pytest.mark.parametrize(
+    "c",
+    [2.0**-600, 1e-12, 1e-9, 1.0, 1e6, 1e9, 2.0**600],
+    ids=["2^-600", "1e-12", "1e-9", "1", "1e6", "1e9", "2^600"],
+)
+@pytest.mark.parametrize("name", sorted(SCALE_GENERATORS))
+def test_dimension_does_not_depend_on_scale(name, c):
+    algebra = make_normal_generator_algebra(SCALE_GENERATORS[name] * c)
+    assert algebra.dim == 4
+    points = algebra.distinct_spectrum.points
+    gaps = [abs(p - q) for i, p in enumerate(points) for q in points[i + 1 :]]
+    assert min(gaps) > algebra.distinct_spectrum.merge_tol
+
+
+def multiplicities(algebra) -> list[int]:
+    return sorted(np.bincount(algebra.multiplicity_map).tolist())
+
+
+GRID = [complex(re, im) for re in range(-3, 4) for im in range(-3, 4)]
+
+
+@given(
+    family=st.sampled_from(["normal", "hermitian", "positive"]),
+    picks=st.lists(st.integers(0, len(GRID) - 1), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    base=st.sampled_from([2.0, 10.0]),
+    j=st.integers(-300, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_scaling_keeps_dimension_multiplicities_and_class_flags(
+    family, picks, seed, base, j
+):
+    # repeated picks give repeated eigenvalues
+    eigenvalues = [GRID[i] for i in picks]
+    if family == "hermitian":
+        eigenvalues = [z.real for z in eigenvalues]
+    elif family == "positive":
+        eigenvalues = [abs(z.real) + 1 for z in eigenvalues]
+    M = conjugated(eigenvalues, seed)
+    c = base**j
+    plain = make_normal_generator_algebra(M)
+    scaled = make_normal_generator_algebra(M * c)
+    assert scaled.dim == plain.dim == len(set(eigenvalues))
+    assert multiplicities(scaled) == multiplicities(plain)
+    if family != "normal":
+        tol = 1e-9
+        want = classify_element(plain.generator_element(), tol).flags
+        got = classify_element(scaled.generator_element(), c * tol).flags
+        for name in ("self_adjoint", "positive"):
+            assert got[name] == want[name], name
 
 
 def test_eigenvector_matrix_is_unitary_and_reconstructs():

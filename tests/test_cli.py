@@ -91,6 +91,13 @@ def test_calculus_without_coefficients_is_a_usage_error(capsys):
     assert "--coeffs" in capsys.readouterr().err
 
 
+def test_malformed_coefficient_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["calculus", "--inline", DIAG123, "--coeffs", "1,x"])
+    assert info.value.code == 2
+    assert "bad coefficient list '1,x'" in capsys.readouterr().err
+
+
 def test_quotient_command():
     code, text = run_cli(command="quotient", inline=FUNC, zero_set=("p", "r"))
     assert code == 0
@@ -206,6 +213,27 @@ def test_overflow_and_nan_exit_2_with_one_line(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("invalid input: ")
     assert proc.stderr.count("\n") == 1
+
+
+def scaled_generator_document(c: float) -> str:
+    """c Q diag(1, 1, 2, 2, 3, 3i) Q* for a seeded unitary Q."""
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    N = (Q * np.array([1, 1, 2, 2, 3, 3j])) @ Q.conj().T
+    return json.dumps(
+        {"kind": "normal_matrix", "n": 6, "entries": complex_pairs(N * c)}
+    )
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e9], ids=["1e-12", "1e9"])
+def test_scaled_generator_keeps_its_characters(c):
+    code, text = run_cli(
+        command="characters",
+        inline=scaled_generator_document(c),
+        output_format="structured",
+    )
+    assert code == 0
+    assert len(text.splitlines()) == 4
 
 
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):

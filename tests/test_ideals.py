@@ -61,6 +61,13 @@ def test_ideal_membership(A3):
     assert I.contains(A3.element([1e-12, 4.0, 0.0]), tol=1e-10)
 
 
+def test_membership_cutoff_is_relative_to_the_element():
+    algebra = make_function_algebra(("a", "b"))
+    I = ideal_from_closed_set(algebra, ("b",))
+    assert not I.contains(algebra.element([1e-12, 1e-13]))
+    assert I.contains(algebra.zero())
+
+
 def test_ideal_absorbs_products(A3):
     rng = np.random.default_rng(1)
     I = ideal_from_closed_set(A3, ("2",))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cstarlab import (
     DomainError,
+    NonFinite,
     NormTooLarge,
     NotInvertible,
     Overflow,
@@ -310,6 +311,20 @@ def test_invertibility_cutoff_scales_with_norm():
     small = algebra.element([1.0, 1e-14])
     assert invertibility_tolerance(small) > 1e-14
     assert not is_invertible(small)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+def test_invertibility_verdict_does_not_depend_on_scale(c):
+    algebra = algebra_of(2)
+    assert not is_invertible(algebra.element([c, 1e-14 * c]))
+    assert is_invertible(algebra.element([1e-12 * c, 2e-12 * c]))
+    assert not is_invertible(algebra.zero())
+
+
+def test_operator_norm_rejects_non_finite_entries_as_a_cstar_error():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFinite):
+            operator_norm([[1.0, bad], [0.0, 1.0]])
 
 
 def test_resolvent_small_example():
