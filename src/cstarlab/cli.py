@@ -100,8 +100,8 @@ def run(config: RunConfig, out=None) -> int:
         return _cmd_verify(config, out)
 
     # an overflow while building the algebra or an element raises a
-    # CstarError (NonFinite, NotNormal, DecompositionFailure), and the norms
-    # and defects computed outside it are checked by _finite, so numpy's
+    # CstarError (NonFinite, NotNormal, DecompositionFailure), and the
+    # quotient norm computed outside it is checked by _finite, so numpy's
     # floating-point warnings would only repeat that message
     with np.errstate(all="ignore"):
         try:
@@ -131,18 +131,20 @@ def _cmd_spectrum(config: RunConfig, element, out) -> int:
 
 def _cmd_classify(config: RunConfig, element, out) -> int:
     report = classify_element(element, config.tol)
-    for name, defect in report.witness_tolerances.items():
-        _finite(defect, f"{name} defect")
+    defects = report.witness_tolerances
     offender = report.positive_offender
     if config.output_format == "structured":
         for name in sorted(report.flags):
+            # an element too large to square has an inf defect, which JSON
+            # cannot hold; the flag is decided all the same
+            defect = defects[name] if math.isfinite(defects[name]) else None
             _emit(
                 out,
                 {
                     "kind": "classification",
                     "class": name,
                     "member": report.flags[name],
-                    "defect": report.witness_tolerances[name],
+                    "defect": defect,
                 },
             )
         if offender is not None:
@@ -151,9 +153,7 @@ def _cmd_classify(config: RunConfig, element, out) -> int:
     else:
         for name in sorted(report.flags):
             verdict = "yes" if report.flags[name] else "no"
-            out.write(
-                f"{name}: {verdict} (defect {report.witness_tolerances[name]:.3e})\n"
-            )
+            out.write(f"{name}: {verdict} (defect {defects[name]:.3e})\n")
         if offender is not None:
             out.write(f"positivity fails at character value {_fmt(offender)}\n")
     return 0
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=RunConfig.tol,
-        help="comparison and merge tolerance (default %(default)g)",
+        help="absolute comparison and merge tolerance (default %(default)g)",
     )
     parser.add_argument(
         "--seed",

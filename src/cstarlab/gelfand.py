@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import AlgebraElement, CommutativeAlgebra, FunctionAlgebra
 from .errors import AlgebraMismatch, SpaceMismatch
 from .spaces import FiniteSpace
@@ -94,7 +92,7 @@ def transform_target(algebra: CommutativeAlgebra) -> FunctionAlgebra:
 
 def gelfand_transform(a: AlgebraElement) -> AlgebraElement:
     """The function phi |-> phi(a) on the character space of a's algebra."""
-    return transform_target(a.algebra).element(np.array(a.coords))
+    return transform_target(a.algebra).element(a.coords)
 
 
 def gelfand_inverse(algebra: CommutativeAlgebra, f_hat: AlgebraElement) -> AlgebraElement:
@@ -108,4 +106,4 @@ def gelfand_inverse(algebra: CommutativeAlgebra, f_hat: AlgebraElement) -> Algeb
         raise SpaceMismatch(
             "function does not live on the character space of the algebra"
         )
-    return algebra.element(np.array(f_hat.coords))
+    return algebra.element(f_hat.coords)

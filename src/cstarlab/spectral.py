@@ -171,19 +171,18 @@ def perturbation_inverse(
     return total
 
 
-def is_invertible(a: AlgebraElement, tol: float | None = None) -> bool:
+def is_invertible(a: AlgebraElement) -> bool:
     """Whether every character value stays clear of zero.
 
-    The default cutoff is relative to norm(a), so rescaling an element does
-    not change the verdict.
+    The cutoff is relative to norm(a), so rescaling an element does not
+    change the verdict.
     """
-    cutoff = invertibility_tolerance(a) if tol is None else tol
-    return bool(np.min(np.abs(a.coords)) > cutoff)
+    return bool(np.min(np.abs(a.coords)) > invertibility_tolerance(a))
 
 
-def invert(a: AlgebraElement, tol: float | None = None) -> AlgebraElement:
+def invert(a: AlgebraElement) -> AlgebraElement:
     """Exact inverse via reciprocal character values."""
-    if not is_invertible(a, tol):
+    if not is_invertible(a):
         smallest = float(np.min(np.abs(a.coords)))
         raise NotInvertible(
             f"character value with modulus {smallest:.3e} is numerically zero"

@@ -24,6 +24,7 @@ from .algebra import FunctionAlgebra, StarHomomorphism
 from .spaces import ContinuousMap
 from .duality import (
     CheckRecord,
+    check,
     functor_F_morphism,
     functor_F_object,
     functor_G_morphism,
@@ -104,11 +105,6 @@ def _fixed(n: int) -> Callable[[int], int]:
     return lambda max_size: n
 
 
-def _rec(law: str, instance: str, defect: float, bound: float) -> CheckRecord:
-    defect = float(defect)
-    return CheckRecord(law, instance, defect, defect <= bound)
-
-
 def _points(maximal_ideals) -> set:
     return {m.point for m in maximal_ideals}
 
@@ -120,7 +116,7 @@ def law_cstar_identity(rng, tol, max_size, i):
     n = a.norm()
     defect = abs((a.star() * a).norm() - n * n)
     name = f"{algebra.describe()} #{i}"
-    yield _rec("cstar_identity", name, defect, 1e-12 * (1.0 + n * n))
+    yield check("cstar_identity", name, defect, 1e-12 * (1.0 + n * n))
 
 
 @_law("norm_laws", _scaled)
@@ -129,10 +125,10 @@ def law_norm_laws(rng, tol, max_size, i):
     a = random_element(rng, algebra, magnitude=2.0)
     b = random_element(rng, algebra, magnitude=2.0)
     name = f"{algebra.describe()} #{i}"
-    yield _rec("unit_norm", name, abs(algebra.unit().norm() - 1.0), 0.0)
-    yield _rec("involution_isometry", name, abs(a.star().norm() - a.norm()), 0.0)
+    yield check("unit_norm", name, abs(algebra.unit().norm() - 1.0), 0.0)
+    yield check("involution_isometry", name, abs(a.star().norm() - a.norm()), 0.0)
     slack = max(0.0, (a * b).norm() - a.norm() * b.norm())
-    yield _rec("submultiplicative", name, slack, 1e-12 * (1.0 + a.norm() * b.norm()))
+    yield check("submultiplicative", name, slack, 1e-12 * (1.0 + a.norm() * b.norm()))
 
 
 @_law("geometric_series", _fixed(12))
@@ -147,9 +143,9 @@ def law_geometric_series(rng, tol, max_size, i):
     s, report = neumann_inverse(a, tol=1e-10, max_terms=4000)
     name = f"{algebra.describe()} #{i}"
     excess = max(0.0, report.residual - report.a_priori_bound)
-    yield _rec("neumann_tail_bound", name, excess, 1e-12)
+    yield check("neumann_tail_bound", name, excess, 1e-12)
     oracle = invert(algebra.unit() - a)
-    yield _rec("neumann_matches_inverse", name, (s - oracle).norm(), 1e-8)
+    yield check("neumann_matches_inverse", name, (s - oracle).norm(), 1e-8)
 
 
 @_law("perturbation", _fixed(12))
@@ -163,17 +159,17 @@ def law_perturbation(rng, tol, max_size, i):
         delta = (float(rng.uniform(0.1, 0.9)) * radius / delta.norm()) * delta
     b = a + delta
     name = f"{algebra.describe()} #{i}"
-    yield _rec("inversion_open", name, 0.0 if is_invertible(b) else 1.0, 0.0)
+    yield check("inversion_open", name, 0.0 if is_invertible(b) else 1.0, 0.0)
     series = perturbation_inverse(a, b, tol=1e-10, max_terms=4000)
     defect = (series - invert(b)).norm()
-    yield _rec("perturbation_matches_inverse", name, defect, 1e-8)
+    yield check("perturbation_matches_inverse", name, defect, 1e-8)
     eps = float(rng.uniform(0.01, 0.5))
     modulus = inversion_delta(inv_norm, eps)
     bump = random_element(rng, algebra)
     if bump.norm() > 0:
         bump = (0.95 * modulus / bump.norm()) * bump
     c = a + bump
-    yield _rec("inversion_continuity", name, (invert(c) - invert(a)).norm(), eps)
+    yield check("inversion_continuity", name, (invert(c) - invert(a)).norm(), eps)
 
 
 @_law("resolvent_series", _fixed(10))
@@ -187,7 +183,7 @@ def law_resolvent_series(rng, tol, max_size, i):
     series_core, _ = neumann_inverse((1.0 / lam) * a, tol=1e-13, max_terms=4000)
     series = (1.0 / lam) * series_core
     name = f"{algebra.describe()} #{i}"
-    yield _rec("resolvent_series", name, (direct - series).norm(), 1e-9)
+    yield check("resolvent_series", name, (direct - series).norm(), 1e-9)
 
 
 @_law("spectral_mapping", _scaled)
@@ -200,7 +196,7 @@ def law_spectral_mapping(rng, tol, max_size, i):
     pushed = np.polyval(np.flip(coeffs), np.array(spectrum(a, tol).points))
     defect = hausdorff_distance(image.points, pushed)
     name = f"{algebra.describe()} deg={degree} #{i}"
-    yield _rec("spectral_mapping", name, defect, tol)
+    yield check("spectral_mapping", name, defect, tol)
 
 
 @_law("spectral_radius", _scaled)
@@ -210,8 +206,8 @@ def law_spectral_radius(rng, tol, max_size, i):
     exact = spectral_radius_exact(a)
     estimate = spectral_radius_limit(a, n_max=20)
     name = f"{algebra.describe()} #{i}"
-    yield _rec("radius_limit", name, abs(estimate.estimate - exact), 1e-6)
-    yield _rec("radius_equals_norm", name, abs(exact - a.norm()), 1e-10)
+    yield check("radius_limit", name, abs(estimate.estimate - exact), 1e-6)
+    yield check("radius_equals_norm", name, abs(exact - a.norm()), 1e-10)
 
 
 @_law("gelfand", _scaled)
@@ -222,14 +218,14 @@ def law_gelfand(rng, tol, max_size, i):
     name = f"{algebra.describe()} #{i}"
     a_hat = gelfand_transform(a)
     round_trip = (gelfand_inverse(algebra, a_hat) - a).norm()
-    yield _rec("gelfand_round_trip", name, round_trip, 1e-10)
+    yield check("gelfand_round_trip", name, round_trip, 1e-10)
     isometry = abs(a_hat.norm() - a.norm())
-    yield _rec("gelfand_isometry", name, isometry, 1e-10 * (1.0 + a.norm()))
+    yield check("gelfand_isometry", name, isometry, 1e-10 * (1.0 + a.norm()))
     product = (gelfand_transform(a * b) - a_hat * gelfand_transform(b)).norm()
-    yield _rec("gelfand_multiplicative", name, product, 1e-10)
+    yield check("gelfand_multiplicative", name, product, 1e-10)
     char_values = [chi(a) for chi in characters(algebra)]
     defect = hausdorff_distance(spectrum(a, tol).points, char_values)
-    yield _rec("spectrum_is_character_set", name, defect, tol)
+    yield check("spectrum_is_character_set", name, defect, tol)
 
 
 @_law("characters", _fixed(10))
@@ -246,12 +242,12 @@ def law_characters(rng, tol, max_size, i):
         mult = max(mult, abs(chi(a * b) - chi(a) * chi(b)))
         contraction = max(contraction, abs(chi(a)) - a.norm())
     name = f"{algebra.describe()} #{i}"
-    yield _rec("character_unital", name, unital, 0.0)
-    yield _rec("character_multiplicative", name, mult, 1e-12 * scale)
+    yield check("character_unital", name, unital, 0.0)
+    yield check("character_multiplicative", name, mult, 1e-12 * scale)
     # scalar abs and the vectorized modulus inside norm() may differ by
     # one ulp, so the contraction is exact only up to rounding
     bound = 5e-16 * (1.0 + a.norm())
-    yield _rec("character_contraction", name, contraction, bound)
+    yield check("character_contraction", name, contraction, bound)
 
 
 @_law("functor_laws", _fixed(8))
@@ -264,11 +260,11 @@ def law_functor_laws(rng, tol, max_size, i):
     name = f"chain #{i}"
     ident = functor_F_morphism(StarHomomorphism.identity(A))
     expected = ContinuousMap.identity(functor_F_object(A))
-    yield _rec("functor_F_identity", name, 0.0 if ident == expected else 1.0, 0.0)
+    yield check("functor_F_identity", name, 0.0 if ident == expected else 1.0, 0.0)
     composite = functor_F_morphism(phi.then(rho))
     stepwise = functor_F_morphism(rho).then(functor_F_morphism(phi))
     defect = 0.0 if composite == stepwise else 1.0
-    yield _rec("functor_F_contravariant", name, defect, 0.0)
+    yield check("functor_F_contravariant", name, defect, 0.0)
     X = random_space(rng, max_size=max_size, prefix="s")
     Y = random_space(rng, max_size=max_size, prefix="t")
     Z = random_space(rng, max_size=max_size, prefix="u")
@@ -277,7 +273,7 @@ def law_functor_laws(rng, tol, max_size, i):
     g_of_f = functor_G_morphism(f.then(g))
     stepwise_g = functor_G_morphism(g).then(functor_G_morphism(f))
     defect = 0.0 if g_of_f == stepwise_g else 1.0
-    yield _rec("functor_G_contravariant", name, defect, 0.0)
+    yield check("functor_G_contravariant", name, defect, 0.0)
 
 
 @_law("naturality", _fixed(10))
@@ -285,11 +281,11 @@ def law_naturality(rng, tol, max_size, i):
     A = random_algebra(rng, max_size)
     B = random_algebra(rng, max_size)
     square = verify_naturality_tau(random_pullback_hom(rng, A, B))
-    yield _rec("naturality_tau", f"{square.morphism} #{i}", square.max_defect, 1e-10)
+    yield check("naturality_tau", f"{square.morphism} #{i}", square.max_defect, 1e-10)
     X = random_space(rng, max_size=max_size, prefix="p")
     Y = random_space(rng, max_size=max_size, prefix="q")
     square = verify_naturality_mu(random_continuous_map(rng, X, Y))
-    yield _rec("naturality_mu", f"{square.morphism} #{i}", square.max_defect, 1e-10)
+    yield check("naturality_mu", f"{square.morphism} #{i}", square.max_defect, 1e-10)
 
 
 # The next two laws draw per size first and per random sample after, so
@@ -325,7 +321,7 @@ def law_ideal_correspondence(rng, tol, max_size, _i):
             expected = tuple(sorted(subset, key=algebra.space.index))
             failures += closed_set_from_ideal(ideal) != expected
         name = f"|X|={size} all {2**size} subsets"
-        yield _rec("ideal_round_trip", name, float(failures), 0.0)
+        yield check("ideal_round_trip", name, float(failures), 0.0)
     for i in range(8):
         algebra = random_algebra(rng, max_size)
         a = random_element(rng, algebra, magnitude=2.0)
@@ -336,18 +332,18 @@ def law_ideal_correspondence(rng, tol, max_size, _i):
         q, pi = quotient(algebra, ideal)
         name = f"{algebra.describe()} zero_set={sorted(ideal.zero_set)} #{i}"
         defect = float(abs(q.dim - len(ideal.zero_set)))
-        yield _rec("quotient_dimension", name, defect, 0.0)
+        yield check("quotient_dimension", name, defect, 0.0)
         image = pi(a)
         defect = abs(q.quotient_norm(a) - image.norm())
-        yield _rec("quotient_norm_closed_form", name, defect, 0.0)
+        yield check("quotient_norm_closed_form", name, defect, 0.0)
         cstar = abs((image.star() * image).norm() - image.norm() ** 2)
-        yield _rec("quotient_cstar", name, cstar, 1e-12 * (1.0 + image.norm() ** 2))
+        yield check("quotient_cstar", name, cstar, 1e-12 * (1.0 + image.norm() ** 2))
         defect = 0.0 if kernel_ideal(pi).zero_set == ideal.zero_set else 1.0
-        yield _rec("projection_kernel", name, defect, 0.0)
+        yield check("projection_kernel", name, defect, 0.0)
         for m in max_ideals(algebra)[: min(3, algebra.dim)]:
             qm, _ = quotient(algebra, m)
             at = f"{name} at {m.point}"
-            yield _rec("maximal_quotient_is_scalar", at, float(abs(qm.dim - 1)), 0.0)
+            yield check("maximal_quotient_is_scalar", at, float(abs(qm.dim - 1)), 0.0)
 
 
 @_law("zariski", lambda max_size: min(max_size, 6))
@@ -369,7 +365,7 @@ def law_zariski(rng, tol, max_size, i):
             failures += _points(zariski_V(I.intersect(J))) != v_i | v_j
             failures += _points(zariski_V(I.sum_with(J))) != v_i & v_j
     name = f"|X|={size} all {len(ideals)}^2 pairs"
-    yield _rec("zariski_axioms", name, failures, 0.0)
+    yield check("zariski_axioms", name, failures, 0.0)
 
 
 _MAKERS = {
@@ -393,10 +389,10 @@ def law_classification(rng, tol, max_size, i):
         a = algebra.element(make(rng, algebra.dim))
         report = classify_element(a, tol)
         name = f"{cls} in {algebra.describe()} #{i}"
-        yield _rec("classification_flag", name, report.witness_tolerances[cls], tol)
+        yield check("classification_flag", name, report.witness_tolerances[cls], tol)
         distance = _DISTANCES[cls]
         containment = max(distance(complex(p)) for p in spectrum(a, tol).points)
-        yield _rec("classification_spectrum", name, containment, tol)
+        yield check("classification_spectrum", name, containment, tol)
 
 
 @_law("norm_uniqueness", _fixed(10))
@@ -406,7 +402,7 @@ def law_norm_uniqueness(rng, tol, max_size, i):
     )
     a = random_element(rng, algebra, magnitude=2.0)
     defect = abs(a.norm() - operator_norm(algebra.materialize(a)))
-    yield _rec("norm_uniqueness", f"{algebra.describe()} #{i}", defect, 1e-8)
+    yield check("norm_uniqueness", f"{algebra.describe()} #{i}", defect, 1e-8)
 
 
 def run_suite(seed: int = 0, tol: float = 1e-9, max_size: int = 8) -> list[CheckRecord]:

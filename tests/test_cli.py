@@ -236,6 +236,42 @@ def test_scaled_generator_keeps_its_characters(c):
     assert len(text.splitlines()) == 4
 
 
+HUGE_POSITIVE = json.dumps(
+    {
+        "kind": "function_algebra",
+        "points": ["a", "b"],
+        "values": [[1e200, 0.0], [2e200, 0.0]],
+    }
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_classify_reports_defects_too_large_for_a_float():
+    # squaring 1e200 overflows, so the unitary and projection defects are inf
+    code, text = run_cli(command="classify", inline=HUGE_POSITIVE)
+    assert code == 0
+    assert text.splitlines() == [
+        "positive: yes (defect 0.000e+00)",
+        "projection: no (defect inf)",
+        "self_adjoint: yes (defect 0.000e+00)",
+        "unitary: no (defect inf)",
+    ]
+    code, text = run_cli(
+        command="classify", inline=HUGE_POSITIVE, output_format="structured"
+    )
+    assert code == 0
+    records = [json.loads(s, parse_constant=_reject_constant) for s in text.splitlines()]
+    assert {r["class"]: (r["member"], r["defect"]) for r in records} == {
+        "positive": (True, 0.0),
+        "projection": (False, None),
+        "self_adjoint": (True, 0.0),
+        "unitary": (False, None),
+    }
+
+
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "function_algebra", "points": ["\xe9"]}')
@@ -288,6 +324,9 @@ GOLDEN_VERIFY_STREAMS = {
     (42, 1): "448c59f9d55f",
     (42, 4): "5080da951f9a",
     (42, 8): "dc6b938ce307",
+    (0, 12): "31795886e42a",
+    (1, 12): "0667731c9e03",
+    (42, 12): "47ffa24e01b2",
 }
 
 

@@ -167,6 +167,20 @@ def test_mu_detects_degenerate_character_enumeration(monkeypatch):
         duality.mu(X)
 
 
+def test_equivalence_reports_degenerate_character_enumeration(monkeypatch):
+    X = FiniteSpace(("p", "q"))
+    first = gelfand.characters(functor_G_object(X)).members[0]
+
+    def collapsed(algebra):
+        return gelfand.CharacterSpace(algebra=algebra, members=(first, first))
+
+    monkeypatch.setattr(duality, "characters", collapsed)
+    report = verify_equivalence(X)
+    assert not report.passed
+    assert report.max_defect == 1.0
+    assert [c.law for c in report.checks if not c.passed] == ["mu_bijection"]
+
+
 def test_tau_naturality_squares_commute():
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -251,3 +265,19 @@ def test_equivalence_report_names_its_checks():
         "tau_multiplicative",
         "tau_star_preserving",
     }
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_algebra_verifier_transforms_each_member_once(monkeypatch, d):
+    # the family is d indicators, the unit and one generic element; beyond
+    # one transform per member, only products and stars are transformed
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return gelfand.gelfand_transform(a)
+
+    monkeypatch.setattr(duality, "gelfand_transform", counted)
+    assert verify_equivalence(make_function_algebra(space_of(d).points)).passed
+    m = d + 2
+    assert len(calls) == m * m + 2 * m

@@ -86,6 +86,8 @@ def test_load_path_reads_files(tmp_path):
         '{"points": ["a"], "values": [[1, 0]]}',
         '{"kind": "mystery"}',
         '{"kind": "function_algebra", "points": ["a", "b"], "values": [[1, 0]]}',
+        '{"kind": "function_algebra", "points": ["a", 1], "values": [[1, 0], [2, 0]]}',
+        '{"kind": "function_algebra", "points": ["a"], "values": {"a": [1, 0]}}',
         '{"kind": "function_algebra", "points": ["a"], "values": [1.0]}',
         '{"kind": "function_algebra", "points": ["a"], "values": [[1, 0, 0]]}',
         '{"kind": "function_algebra", "points": ["a"], "values": [[true, false]]}',
