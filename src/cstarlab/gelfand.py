@@ -16,6 +16,7 @@ matrix algebra is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import AlgebraElement, CommutativeAlgebra, FunctionAlgebra
 from .errors import AlgebraMismatch, SpaceMismatch
@@ -63,7 +64,7 @@ class CharacterSpace:
 
     def as_finite_space(self) -> FiniteSpace:
         """The character space as a finite space labelled by indices."""
-        return FiniteSpace(tuple(str(i) for i in range(self.count)))
+        return _index_function_algebra(self.count).space
 
     def __iter__(self):
         return iter(self.members)
@@ -85,9 +86,15 @@ def evaluate_character(phi: Character, a: AlgebraElement) -> complex:
     return complex(a.coords[phi.index])
 
 
+@lru_cache(maxsize=16)
+def _index_function_algebra(dim: int) -> FunctionAlgebra:
+    """Functions on the points ``"0"``, ..., ``str(dim - 1)``."""
+    return FunctionAlgebra(FiniteSpace(tuple(str(i) for i in range(dim))))
+
+
 def transform_target(algebra: CommutativeAlgebra) -> FunctionAlgebra:
-    """The function algebra over the character space of ``algebra``."""
-    return FunctionAlgebra(characters(algebra).as_finite_space())
+    """The function algebra over the character space of ``algebra`` (one per dim)."""
+    return _index_function_algebra(algebra.dim)
 
 
 def gelfand_transform(a: AlgebraElement) -> AlgebraElement:

@@ -1,11 +1,12 @@
 """Closed ideals, quotients, and the maximal ideal space.
 
 Every closed ideal in these models is the set of elements vanishing on a
-subset of the characters, so an ideal is stored as its zero set of
-character indices.  That makes the lattice operations set operations:
-intersecting ideals unites zero sets, summing ideals intersects them.
-Ideals with extra structure (non self-adjoint, non-closed) do not exist at
-this scale and are deliberately not representable.
+subset of the characters, so an ideal is stored as that zero set, as an
+``int`` bitmask with bit ``i`` set when it vanishes at character ``i``.
+Ideals reverse the order of zero sets, so the lattice is word arithmetic:
+intersecting ideals unites zero sets (``|``), summing ideals intersects
+them (``&``).  Ideals with extra structure (non self-adjoint, non-closed)
+do not exist at this scale and are deliberately not representable.
 
 The quotient by an ideal is the function algebra on the zero set, with the
 projection acting by restriction.  The quotient norm is computed in closed
@@ -16,6 +17,7 @@ representatives is kept in the tests as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,55 +53,56 @@ class Ideal:
 
     An empty zero set puts no constraint on anything, so it encodes the
     whole algebra (the improper ideal); the full zero set encodes the zero
-    ideal.  Properness is therefore literally "the zero set is nonempty".
+    ideal.  Properness is therefore literally "the mask is nonzero".
     """
 
     algebra: CommutativeAlgebra
-    zero_set: frozenset[int]
+    mask: int
 
     def __post_init__(self):
-        zs = frozenset(int(i) for i in self.zero_set)
-        object.__setattr__(self, "zero_set", zs)
-        bad = [i for i in zs if not 0 <= i < self.algebra.dim]
-        if bad:
-            raise ValueError(f"zero-set indices {bad!r} are out of range")
+        mask = self.mask
+        if type(mask) is not int:
+            raise TypeError(f"a zero-set mask is an int, not {mask!r}")
+        if mask < 0 or mask >> self.algebra.dim:
+            raise ValueError(f"zero-set mask {mask:#x} is out of range")
+
+    @cached_property
+    def zero_set(self) -> frozenset[int]:
+        return frozenset(_indices(self.mask))
 
     @property
     def is_proper(self) -> bool:
-        return len(self.zero_set) > 0
+        return self.mask != 0
 
     @property
     def dimension(self) -> int:
         """Linear dimension: one free coordinate per non-vanishing character."""
-        return self.algebra.dim - len(self.zero_set)
+        return self.algebra.dim - self.mask.bit_count()
 
     def contains(self, a: AlgebraElement, tol: float | None = None) -> bool:
         if a.algebra != self.algebra:
             raise AlgebraMismatch("element belongs to a different algebra")
-        if not self.zero_set:
+        if not self.mask:
             return True
         cutoff = invertibility_tolerance(a) if tol is None else tol
-        worst = max(abs(complex(a.coords[i])) for i in self.zero_set)
-        return worst <= cutoff
+        return max(abs(complex(a.coords[i])) for i in _indices(self.mask)) <= cutoff
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Vanish on both zero sets: the zero sets unite."""
         self._check_same(other)
-        return Ideal(self.algebra, self.zero_set | other.zero_set)
+        return Ideal(self.algebra, self.mask | other.mask)
 
     def sum_with(self, other: "Ideal") -> "Ideal":
         """Sums vanish only where both summands must: zero sets intersect."""
         self._check_same(other)
-        return Ideal(self.algebra, self.zero_set & other.zero_set)
+        return Ideal(self.algebra, self.mask & other.mask)
 
     def _check_same(self, other: "Ideal") -> None:
         if self.algebra != other.algebra:
             raise AlgebraMismatch("ideals live in different algebras")
 
     def __repr__(self) -> str:
-        pts = ",".join(
-            self.algebra.character_label(i) for i in sorted(self.zero_set)
-        )
+        pts = ",".join(closed_set_from_ideal(self))
         return f"Ideal(vanishing on {{{pts}}})"
 
 
@@ -108,13 +111,18 @@ class MaximalIdeal(Ideal):
     """An ideal vanishing at exactly one character."""
 
     def __post_init__(self):
-        super().__post_init__()
-        if len(self.zero_set) != 1:
+        Ideal.__post_init__(self)
+        if self.mask.bit_count() != 1:
             raise ValueError("a maximal ideal vanishes at exactly one character")
 
     @property
     def point(self) -> int:
-        return next(iter(self.zero_set))
+        return self.mask.bit_length() - 1
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of ``mask`` in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ class QuotientAlgebra:
         """Norm of the coset of ``a``: the sup over the zero set."""
         if a.algebra != self.base:
             raise AlgebraMismatch("element belongs to a different algebra")
-        return float(np.max(np.abs(a.coords[sorted(self.ideal.zero_set)])))
+        return float(np.max(np.abs(a.coords[_indices(self.ideal.mask)])))
 
 
 def ideal_from_closed_set(algebra: CommutativeAlgebra, closed_set) -> Ideal:
@@ -144,15 +152,15 @@ def ideal_from_closed_set(algebra: CommutativeAlgebra, closed_set) -> Ideal:
     function model) or canonical indices; anything unknown raises
     :class:`InvalidSubset`.
     """
-    indices = frozenset(algebra.resolve_character_key(k) for k in closed_set)
-    return Ideal(algebra, indices)
+    mask = 0
+    for key in closed_set:
+        mask |= 1 << algebra.resolve_character_key(key)
+    return Ideal(algebra, mask)
 
 
 def closed_set_from_ideal(ideal: Ideal) -> tuple[str, ...]:
     """The common zero set as character labels, in canonical order."""
-    return tuple(
-        ideal.algebra.character_label(i) for i in sorted(ideal.zero_set)
-    )
+    return tuple(ideal.algebra.character_label(i) for i in _indices(ideal.mask))
 
 
 def quotient(
@@ -163,9 +171,8 @@ def quotient(
         raise AlgebraMismatch("ideal lives in a different algebra")
     if not ideal.is_proper:
         raise ImproperIdeal("cannot quotient by the whole algebra")
-    indices = sorted(ideal.zero_set)
-    labels = tuple(algebra.character_label(i) for i in indices)
-    space = FiniteSpace(labels)
+    indices = _indices(ideal.mask)
+    space = FiniteSpace(tuple(algebra.character_label(i) for i in indices))
     model = FunctionAlgebra(space)
     projection = StarHomomorphism(algebra, model, tuple(indices))
     return QuotientAlgebra(algebra, ideal, space, model), projection
@@ -182,9 +189,8 @@ def factor_through_quotient(
     """
     if ideal.algebra != phi.source:
         raise AlgebraMismatch("ideal lives in a different algebra")
-    zero = ideal.zero_set
     for j, img in enumerate(phi.character_images):
-        if img not in zero:
+        if not ideal.mask >> img & 1:
             coords = np.zeros(phi.source.dim, dtype=complex)
             coords[img] = 1.0
             witness = phi.source.element(coords)
@@ -194,38 +200,32 @@ def factor_through_quotient(
                 f"but target character {j} sees it",
                 witness=witness,
             )
-    indices = sorted(zero)
-    position = {z: k for k, z in enumerate(indices)}
-    q, _ = quotient(phi.source, ideal)
+    q, projection = quotient(phi.source, ideal)
+    position = {z: k for k, z in enumerate(projection.character_images)}
     images = tuple(position[img] for img in phi.character_images)
     return StarHomomorphism(q.model, phi.target, images)
 
 
 def max_ideals(algebra: CommutativeAlgebra) -> tuple[MaximalIdeal, ...]:
     """All maximal ideals, one per character, in canonical order."""
-    return tuple(
-        MaximalIdeal(algebra, frozenset({i})) for i in range(algebra.dim)
-    )
+    return tuple(MaximalIdeal(algebra, 1 << i) for i in range(algebra.dim))
 
 
 def zariski_V(ideal: Ideal) -> tuple[MaximalIdeal, ...]:
     """The maximal ideals containing the given ideal (a Zariski closed set)."""
-    return tuple(
-        MaximalIdeal(ideal.algebra, frozenset({i}))
-        for i in sorted(ideal.zero_set)
-    )
+    return tuple(MaximalIdeal(ideal.algebra, 1 << i) for i in _indices(ideal.mask))
 
 
 def kernel_ideal(phi: StarHomomorphism) -> Ideal:
     """The kernel of a pullback homomorphism, as an ideal of its source."""
-    return Ideal(phi.source, frozenset(phi.character_images))
+    return ideal_from_closed_set(phi.source, phi.character_images)
 
 
 def zero_ideal(algebra: CommutativeAlgebra) -> Ideal:
     """The ideal {0}: elements vanishing at every character."""
-    return Ideal(algebra, frozenset(range(algebra.dim)))
+    return Ideal(algebra, (1 << algebra.dim) - 1)
 
 
 def unit_ideal(algebra: CommutativeAlgebra) -> Ideal:
     """The whole algebra as an (improper) ideal: empty zero set."""
-    return Ideal(algebra, frozenset())
+    return Ideal(algebra, 0)

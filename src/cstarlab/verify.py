@@ -353,10 +353,7 @@ def law_zariski(rng, tol, max_size, i):
     all_max = _points(max_ideals(algebra))
     failures = float(_points(zariski_V(zero_ideal(algebra))) != all_max)
     failures += _points(zariski_V(unit_ideal(algebra))) != set()
-    ideals = [
-        Ideal(algebra, frozenset(k for k in range(size) if mask >> k & 1))
-        for mask in range(2**size)
-    ]
+    ideals = [Ideal(algebra, mask) for mask in range(2**size)]
     closed = [_points(zariski_V(ideal)) for ideal in ideals]
     # V(I) and V(J) are built once per ideal; the intersection and the sum
     # of every pair still go through zariski_V, so coverage stays exhaustive

@@ -5,6 +5,7 @@ import pytest
 
 from cstarlab import (
     AlgebraMismatch,
+    FunctionAlgebra,
     SpaceMismatch,
     characters,
     evaluate_character,
@@ -15,6 +16,7 @@ from cstarlab import (
     make_normal_generator_algebra,
     spectrum,
     transform_target,
+    verify_equivalence,
 )
 
 
@@ -139,6 +141,24 @@ def test_inverse_requires_the_transform_algebra(three_points):
     stray = make_function_algebra(("0", "1"))
     with pytest.raises(SpaceMismatch):
         gelfand_inverse(three_points, stray.element([1.0, 2.0]))
+
+
+def test_equivalence_builds_at_most_one_transform_target(monkeypatch):
+    algebra = make_function_algebra(tuple("uvwxyz"))
+    stray = make_function_algebra(tuple("abcdef")).element(np.arange(6.0))
+    built = []
+    original = FunctionAlgebra.__init__
+
+    def counting(self, space):
+        built.append(space)
+        original(self, space)
+
+    monkeypatch.setattr(FunctionAlgebra, "__init__", counting)
+    assert verify_equivalence(algebra).passed
+    assert len(built) <= 1
+    # the shared target still rejects a function on another space of that size
+    with pytest.raises(SpaceMismatch):
+        gelfand_inverse(algebra, stray)
 
 
 def test_inverse_accepts_any_element_of_the_target(three_points):

@@ -4,10 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarlab import (
+    Ideal,
     ImproperIdeal,
     InvalidSubset,
+    MaximalIdeal,
     NotContained,
     StarHomomorphism,
     closed_set_from_ideal,
@@ -265,3 +269,67 @@ def test_kernel_of_point_evaluation_is_maximal(A3):
     ev = make_star_homomorphism((1,), A3, target)
     k = kernel_ideal(ev)
     assert sorted(k.zero_set) == [1]
+
+
+# ---------------------------------------------------------------------------
+# the bitmask representation against plain set algebra
+
+
+@st.composite
+def two_zero_sets(draw):
+    # up to 70 characters, so masks run past one 64-bit machine word
+    dim = draw(st.integers(1, 70))
+    subsets = st.frozensets(st.integers(0, dim - 1))
+    return dim, draw(subsets), draw(subsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_zero_sets())
+def test_mask_lattice_matches_frozenset_algebra(case):
+    dim, zs, ws = case
+    algebra = make_function_algebra(tuple(f"x{i}" for i in range(dim)))
+    I = ideal_from_closed_set(algebra, [algebra.character_label(i) for i in zs])
+    J = ideal_from_closed_set(algebra, ws)
+    meet, join = I.intersect(J), I.sum_with(J)
+    for ideal, expected in ((I, zs), (J, ws), (meet, zs | ws), (join, zs & ws)):
+        assert ideal.zero_set == expected
+        assert ideal.dimension == dim - len(expected)
+        assert ideal.is_proper == bool(expected)
+        assert [m.point for m in zariski_V(ideal)] == sorted(expected)
+    for reached, expected in ((meet, zs | ws), (join, zs & ws)):
+        built = ideal_from_closed_set(algebra, expected)
+        assert built == reached
+        assert hash(built) == hash(reached)
+    if zs:
+        p = min(zs)
+        at_p = ideal_from_closed_set(algebra, (p,))
+        assert at_p.zero_set == max_ideals(algebra)[p].zero_set
+        assert at_p != max_ideals(algebra)[p]
+
+
+def test_mask_constructor_rejects_bits_outside_the_characters(A3):
+    assert Ideal(A3, 0b111) == zero_ideal(A3)
+    for mask in (0b1000, 0b1001, 1 << 70, -1):
+        with pytest.raises(ValueError):
+            Ideal(A3, mask)
+
+
+def test_maximal_ideal_needs_exactly_one_bit(A3):
+    assert MaximalIdeal(A3, 0b100).point == 2
+    for mask in (0, 0b011, 0b101):
+        with pytest.raises(ValueError):
+            MaximalIdeal(A3, mask)
+
+
+def test_a_set_in_place_of_the_mask_is_a_type_error(A3):
+    with pytest.raises(TypeError):
+        Ideal(A3, frozenset({0, 2}))
+    with pytest.raises(TypeError):
+        MaximalIdeal(A3, frozenset({1}))
+
+
+def test_repeated_keys_name_the_same_ideal(A3):
+    once = ideal_from_closed_set(A3, ("2",))
+    assert ideal_from_closed_set(A3, ("2", "2")) == once
+    assert ideal_from_closed_set(A3, ("2", 1)) == once
+    assert once.dimension == 2
