@@ -11,12 +11,20 @@ With that representation addition, multiplication, and the involution act
 coordinatewise and the norm is the largest coordinate modulus.  All the
 analytic content of the matrix model sits in the eigendecomposition done
 once at construction time.
+
+Coordinates are validated once, where they enter.  ``element`` is the entry
+for outside input: it converts, checks the length, copies and checks
+finiteness.  Arithmetic, ``star`` and homomorphisms build a new array of the
+right length themselves, so they only check finiteness (an overflow or a
+NaN still raises :class:`NonFinite`).  Every element's array is read-only,
+which lets the Gelfand transform share it instead of copying it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,20 +70,33 @@ class CommutativeAlgebra:
     dim: int
 
     def element(self, coords) -> "AlgebraElement":
+        """The element with the given coordinates, checked and copied.
+
+        This is the entry point for coordinates from outside the package.
+        """
         arr = np.asarray(coords, dtype=complex).reshape(-1)
         if arr.shape[0] != self.dim:
             raise ValueError(
                 f"expected {self.dim} coordinates, got {arr.shape[0]}"
             )
-        if not np.all(np.isfinite(arr)):
+        return self._fresh(arr.copy())
+
+    def _fresh(self, arr: np.ndarray) -> "AlgebraElement":
+        """Wrap a new complex array of length ``dim`` that nothing else holds.
+
+        Only finiteness is checked, so an overflow or a NaN in arithmetic
+        still raises :class:`NonFinite`; the array is frozen, not copied.
+        """
+        if not np.isfinite(arr).all():
             raise NonFinite("coordinates must be finite")
-        return AlgebraElement(self, _readonly(arr.copy()))
+        arr.flags.writeable = False
+        return AlgebraElement(self, arr)
 
     def unit(self) -> "AlgebraElement":
-        return self.element(np.ones(self.dim))
+        return self._fresh(np.ones(self.dim, dtype=complex))
 
     def zero(self) -> "AlgebraElement":
-        return self.element(np.zeros(self.dim))
+        return self._fresh(np.zeros(self.dim, dtype=complex))
 
     def character_label(self, i: int) -> str:
         raise NotImplementedError
@@ -89,11 +110,14 @@ class CommutativeAlgebra:
             if not 0 <= i < self.dim:
                 raise InvalidSubset(f"character index {i} out of range")
             return i
-        if isinstance(key, str):
-            for i in range(self.dim):
-                if self.character_label(i) == key:
-                    return i
+        if isinstance(key, str) and key in self._label_index:
+            return self._label_index[key]
         raise InvalidSubset(f"{key!r} does not name a character of {self!r}")
+
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        """Character label to index, built on the first lookup by label."""
+        return {self.character_label(i): i for i in range(self.dim)}
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -325,7 +349,7 @@ class AlgebraElement:
     def _check_same(self, other: "AlgebraElement") -> None:
         if not isinstance(other, AlgebraElement):
             raise TypeError(f"expected an algebra element, got {other!r}")
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatch(
                 f"operands live in different algebras: "
                 f"{self.algebra.describe()} vs {other.algebra.describe()}"
@@ -333,31 +357,31 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return self.algebra.element(self.coords + other.coords)
+        return self.algebra._fresh(self.coords + other.coords)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return self.algebra.element(self.coords - other.coords)
+        return self.algebra._fresh(self.coords - other.coords)
 
     def __neg__(self) -> "AlgebraElement":
-        return self.algebra.element(-self.coords)
+        return self.algebra._fresh(-self.coords)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            return self.algebra.element(self.coords * other.coords)
+            return self.algebra._fresh(self.coords * other.coords)
         if isinstance(other, (int, float, complex, np.number)):
-            return self.algebra.element(self.coords * complex(other))
+            return self.algebra._fresh(self.coords * complex(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
-            return self.algebra.element(complex(other) * self.coords)
+            return self.algebra._fresh(complex(other) * self.coords)
         return NotImplemented
 
     def star(self) -> "AlgebraElement":
         """The involution: coordinatewise complex conjugation."""
-        return self.algebra.element(np.conj(self.coords))
+        return self.algebra._fresh(np.conj(self.coords))
 
     def norm(self) -> float:
         """Sup norm: the largest coordinate modulus."""
@@ -401,7 +425,7 @@ class StarHomomorphism:
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         if a.algebra != self.source:
             raise AlgebraMismatch("element does not belong to the source algebra")
-        return self.target.element(a.coords[list(self.character_images)])
+        return self.target._fresh(a.coords[list(self.character_images)])
 
     def then(self, other: "StarHomomorphism") -> "StarHomomorphism":
         """Composite ``other . self`` (apply self first)."""

@@ -98,8 +98,12 @@ def transform_target(algebra: CommutativeAlgebra) -> FunctionAlgebra:
 
 
 def gelfand_transform(a: AlgebraElement) -> AlgebraElement:
-    """The function phi |-> phi(a) on the character space of a's algebra."""
-    return transform_target(a.algebra).element(a.coords)
+    """The function phi |-> phi(a) on the character space of a's algebra.
+
+    The coordinates of ``a`` are already valid and read-only, so the
+    transform shares them instead of copying and checking them again.
+    """
+    return AlgebraElement(transform_target(a.algebra), a.coords)
 
 
 def gelfand_inverse(algebra: CommutativeAlgebra, f_hat: AlgebraElement) -> AlgebraElement:
@@ -113,4 +117,4 @@ def gelfand_inverse(algebra: CommutativeAlgebra, f_hat: AlgebraElement) -> Algeb
         raise SpaceMismatch(
             "function does not live on the character space of the algebra"
         )
-    return algebra.element(f_hat.coords)
+    return AlgebraElement(algebra, f_hat.coords)

@@ -98,7 +98,7 @@ class Ideal:
         return Ideal(self.algebra, self.mask & other.mask)
 
     def _check_same(self, other: "Ideal") -> None:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatch("ideals live in different algebras")
 
     def __repr__(self) -> str:
@@ -115,7 +115,7 @@ class MaximalIdeal(Ideal):
         if self.mask.bit_count() != 1:
             raise ValueError("a maximal ideal vanishes at exactly one character")
 
-    @property
+    @cached_property
     def point(self) -> int:
         return self.mask.bit_length() - 1
 
@@ -207,13 +207,22 @@ def factor_through_quotient(
 
 
 def max_ideals(algebra: CommutativeAlgebra) -> tuple[MaximalIdeal, ...]:
-    """All maximal ideals, one per character, in canonical order."""
-    return tuple(MaximalIdeal(algebra, 1 << i) for i in range(algebra.dim))
+    """All maximal ideals, one per character, in canonical order.
+
+    The tuple is built on the first call and kept on the algebra itself; a
+    cache keyed by the algebra would hash the whole generator per lookup.
+    """
+    memo = getattr(algebra, "_max_ideals", None)
+    if memo is None:
+        memo = tuple(MaximalIdeal(algebra, 1 << i) for i in range(algebra.dim))
+        algebra._max_ideals = memo
+    return memo
 
 
 def zariski_V(ideal: Ideal) -> tuple[MaximalIdeal, ...]:
     """The maximal ideals containing the given ideal (a Zariski closed set)."""
-    return tuple(MaximalIdeal(ideal.algebra, 1 << i) for i in _indices(ideal.mask))
+    points = max_ideals(ideal.algebra)
+    return tuple([points[i] for i in _indices(ideal.mask)])
 
 
 def kernel_ideal(phi: StarHomomorphism) -> Ideal:

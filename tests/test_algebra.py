@@ -17,10 +17,14 @@ from cstarlab import (
     FunctionAlgebra,
     InvalidPointMap,
     InvalidSpace,
+    InvalidSubset,
     NonFinite,
     NotNormal,
     StarHomomorphism,
     classify_element,
+    gelfand_inverse,
+    gelfand_transform,
+    invert,
     make_function_algebra,
     make_normal_generator_algebra,
     make_star_homomorphism,
@@ -147,6 +151,84 @@ def test_unit_law_and_mismatch():
         f + other.element([1, 1])
     with pytest.raises(AlgebraMismatch):
         f * other.unit()
+
+
+def test_arithmetic_overflow_is_non_finite():
+    algebra = make_function_algebra(space_of(2))
+    big = algebra.element([1e200, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite):
+            big * big
+        with pytest.raises(NonFinite):
+            big * 1e200
+        with pytest.raises(NonFinite):
+            1e200 * big
+        with pytest.raises(NonFinite):
+            algebra.element([1.7e308, 0.0]) + algebra.element([1.7e308, 0.0])
+        with pytest.raises(NonFinite):
+            algebra.element([-1.7e308, 0.0]) - algebra.element([1.7e308, 0.0])
+        with pytest.raises(NonFinite):
+            big * float("nan")
+        with pytest.raises(NonFinite):
+            big * complex(0.0, float("nan"))
+        with pytest.raises(NonFinite):
+            invert(algebra.element([5e-324, 5e-324]))
+
+
+def test_derived_elements_are_read_only():
+    algebra = make_function_algebra(space_of(3))
+    f = algebra.element([1, 2j, 3])
+    g = algebra.element([4, 5, -6j])
+    phi = make_star_homomorphism((2, 0), algebra, make_function_algebra(space_of(2)))
+    derived = [
+        algebra.unit(),
+        algebra.zero(),
+        f + g,
+        f - g,
+        -f,
+        f * g,
+        f * 2.0,
+        2.0 * f,
+        f.star(),
+        phi(f),
+        gelfand_transform(f),
+        gelfand_inverse(algebra, gelfand_transform(f)),
+    ]
+    for h in derived:
+        assert not h.coords.flags.writeable
+        with pytest.raises(ValueError):
+            h.coords[0] = 0.0
+    assert np.array_equal(f.coords, [1, 2j, 3])
+
+
+def _scan_for_label(algebra, key):
+    """The old resolution: the first character whose label equals ``key``."""
+    for i in range(algebra.dim):
+        if algebra.character_label(i) == key:
+            return i
+    raise InvalidSubset(key)
+
+
+def test_label_lookup_agrees_with_a_scan_over_every_label():
+    functions = make_function_algebra(FiniteSpace(("1", "0", "b", "a", "10")))
+    generator = make_normal_generator_algebra(np.diag(np.arange(12.0)))
+    for algebra in (functions, generator):
+        for i in range(algebra.dim):
+            label = algebra.character_label(i)
+            assert algebra.resolve_character_key(label) == _scan_for_label(
+                algebra, label
+            )
+    # a label is not an index, and an index is not a label
+    assert functions.resolve_character_key("1") == 0
+    assert functions.resolve_character_key(1) == 1
+    assert generator.resolve_character_key(np.str_("11")) == 11
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "1.0", "12", "", True, False, 1.0, None])
+def test_keys_that_name_no_character_are_rejected(key):
+    generator = make_normal_generator_algebra(np.diag(np.arange(12.0)))
+    with pytest.raises(InvalidSubset):
+        generator.resolve_character_key(key)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,19 @@ def test_equivalence_reports_degenerate_character_enumeration(monkeypatch):
     assert [c.law for c in report.checks if not c.passed] == ["mu_bijection"]
 
 
+def test_space_verifier_computes_mu_once(monkeypatch):
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return mu(space)
+
+    monkeypatch.setattr(duality, "mu", counted)
+    X = space_of(6)
+    assert verify_equivalence(X).passed
+    assert calls == [X]
+
+
 def test_tau_naturality_squares_commute():
     rng = np.random.default_rng(8)
     for _ in range(40):

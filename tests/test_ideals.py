@@ -28,6 +28,7 @@ from cstarlab import (
     zariski_V,
     zero_ideal,
 )
+from cstarlab.algebra import NormalGeneratorAlgebra
 
 
 @pytest.fixture
@@ -228,6 +229,37 @@ def test_V_lists_the_vanishing_points(A3):
     assert [m.point for m in zariski_V(I)] == [0, 2]
     assert zariski_V(zero_ideal(A3)) == max_ideals(A3)
     assert zariski_V(unit_ideal(A3)) == ()
+
+
+def test_zariski_V_reuses_one_maximal_ideal_per_character(monkeypatch):
+    algebra = make_function_algebra(tuple(f"x{i}" for i in range(6)))
+    built = []
+    check = MaximalIdeal.__post_init__
+
+    def counted(self):
+        built.append(self.mask)
+        check(self)
+
+    monkeypatch.setattr(MaximalIdeal, "__post_init__", counted)
+    for mask in range(64):
+        points = [m.point for m in zariski_V(Ideal(algebra, mask))]
+        assert points == [i for i in range(6) if mask >> i & 1]
+    assert sorted(built) == [1 << i for i in range(6)]
+    assert max_ideals(algebra) is max_ideals(algebra)
+
+
+def test_maximal_ideals_of_a_matrix_algebra_never_hash_the_generator(monkeypatch):
+    rng = np.random.default_rng(3)
+    algebra = make_normal_generator_algebra(np.diag(rng.normal(size=32)))
+
+    def no_hash(self):
+        raise AssertionError("the generator was hashed")
+
+    monkeypatch.setattr(NormalGeneratorAlgebra, "__hash__", no_hash)
+    first = max_ideals(algebra)
+    assert max_ideals(algebra) is first
+    assert [m.point for m in first] == list(range(algebra.dim))
+    assert zariski_V(zero_ideal(algebra)) == first
 
 
 def test_zariski_axioms_exhaustively():
