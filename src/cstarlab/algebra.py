@@ -122,6 +122,9 @@ class CommutativeAlgebra:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def __repr__(self) -> str:
+        return self.describe()
+
 
 class FunctionAlgebra(CommutativeAlgebra):
     """C(X): all complex functions on a finite space with the sup norm."""
@@ -145,9 +148,6 @@ class FunctionAlgebra(CommutativeAlgebra):
 
     def __hash__(self) -> int:
         return hash(("FunctionAlgebra", self.space.points))
-
-    def __repr__(self) -> str:
-        return self.describe()
 
 
 class NormalGeneratorAlgebra(CommutativeAlgebra):
@@ -277,9 +277,6 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
             )
         )
 
-    def __repr__(self) -> str:
-        return self.describe()
-
 
 def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
     """k with 2^k above every |Re| and |Im| of M, Ms = M 2^-k, and the
@@ -385,7 +382,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Sup norm: the largest coordinate modulus."""
-        return float(np.max(np.abs(self.coords)))
+        return float(np.abs(self.coords).max())
 
     def __repr__(self) -> str:
         vals = ", ".join(f"{v:.6g}" for v in self.coords[:6])

@@ -24,6 +24,7 @@ from .gelfand import characters, gelfand_transform
 from .ideals import ideal_from_closed_set, quotient
 from .interchange import complex_pairs, document_to_json, dump_element
 from .interchange import load_document, load_path
+from .spectra import DEFAULT_MERGE_TOL
 from .spectral import apply_polynomial, classify_element, spectrum
 from .verify import run_suite, summarize
 
@@ -39,7 +40,7 @@ class RunConfig:
     command: str
     input_path: str | None = None
     inline: str | None = None
-    tol: float = 1e-9
+    tol: float = DEFAULT_MERGE_TOL
     seed: int = 0
     max_size: int = 8
     output_format: str = "text"

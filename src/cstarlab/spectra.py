@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# also the default comparison tolerance of classify_element, run_suite and
+# the CLI's --tol, which merges spectra and compares defects alike
 DEFAULT_MERGE_TOL = 1e-9
 
 

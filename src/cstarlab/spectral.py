@@ -4,11 +4,17 @@ The geometric series drives everything here.  Truncated series are summed
 with honest algebra operations and their residuals are measured, never
 assumed; the closed-form coordinatewise answers exist too, but they are
 kept in the test suite as independent oracles.
+
+Each loop is written once.  ``_geometric_sum`` sums the Neumann series for
+``neumann_inverse`` and ``perturbation_inverse``; ``_squaring_roots`` yields
+Gelfand's norm(x^(2^k))^(1/2^k) for ``spectral_radius_limit`` and
+``operator_norm``.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,6 +99,29 @@ def invertibility_tolerance(a: AlgebraElement) -> float:
     return 1e-10 * a.norm()
 
 
+def _geometric_sum(first, step, target, tol, max_terms, tail_bound):
+    """Sum first, step(first), step(step(first)), ... as an inverse of target
+    (see neumann_inverse).  ``step`` is a callable, not a ratio: numpy's
+    complex x * y and y * x can differ in the last bit, so each caller keeps
+    its own operand order."""
+    e = first.algebra.unit()
+    total = term = first
+    terms = 1
+    residual = (target * total - e).norm()
+    while residual > tol:
+        if terms >= max_terms:
+            raise Unconverged(
+                f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
+                partial=total,
+                report=NeumannReport(terms, residual, tail_bound(terms)),
+            )
+        term = step(term)
+        total = total + term
+        terms += 1
+        residual = (target * total - e).norm()
+    return total, NeumannReport(terms, residual, tail_bound(terms))
+
+
 def neumann_inverse(
     a: AlgebraElement, tol: float = 1e-10, max_terms: int = 1000
 ) -> tuple[AlgebraElement, NeumannReport]:
@@ -104,39 +133,15 @@ def neumann_inverse(
     """
     norm_a = a.norm()
     if norm_a >= 1.0:
-        raise NormTooLarge(
-            f"geometric series needs norm(a) < 1, got {norm_a:.6g}"
-        )
+        raise NormTooLarge(f"geometric series needs norm(a) < 1, got {norm_a:.6g}")
     e = a.algebra.unit()
-    one_minus_a = e - a
-
-    def tail_bound(terms: int) -> float:
-        return norm_a**terms / (1.0 - norm_a)
-
-    total = e
-    term = e
-    terms = 1
-    residual = (one_minus_a * total - e).norm()
-    while residual > tol:
-        if terms >= max_terms:
-            report = NeumannReport(terms, residual, tail_bound(terms))
-            raise Unconverged(
-                f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
-                partial=total,
-                report=report,
-            )
-        term = term * a
-        total = total + term
-        terms += 1
-        residual = (one_minus_a * total - e).norm()
-    return total, NeumannReport(terms, residual, tail_bound(terms))
+    return _geometric_sum(
+        e, lambda t: t * a, e - a, tol, max_terms, lambda n: norm_a**n / (1.0 - norm_a)
+    )
 
 
 def perturbation_inverse(
-    a: AlgebraElement,
-    b: AlgebraElement,
-    tol: float = 1e-10,
-    max_terms: int = 1000,
+    a: AlgebraElement, b: AlgebraElement, tol: float = 1e-10, max_terms: int = 1000
 ) -> AlgebraElement:
     """Invert ``b`` by perturbing off a known invertible ``a``.
 
@@ -145,30 +150,16 @@ def perturbation_inverse(
     :class:`PerturbationTooLarge` rather than returning a doubtful sum.
     """
     a_inv = invert(a)
-    gap = (a - b).norm()
-    radius = 1.0 / a_inv.norm()
+    diff = a - b
+    gap, radius = diff.norm(), 1.0 / a_inv.norm()
     if gap >= radius:
         raise PerturbationTooLarge(
             f"norm(a - b) = {gap:.6g} is not below 1/norm(a_inv) = {radius:.6g}"
         )
-    e = a.algebra.unit()
-    ratio = a_inv * (a - b)
-    total = a_inv
-    term = a_inv
-    terms = 1
-    residual = (b * total - e).norm()
-    while residual > tol:
-        if terms >= max_terms:
-            raise Unconverged(
-                f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
-                partial=total,
-                report=NeumannReport(terms, residual, float("nan")),
-            )
-        term = ratio * term
-        total = total + term
-        terms += 1
-        residual = (b * total - e).norm()
-    return total
+    ratio = a_inv * diff
+    return _geometric_sum(
+        a_inv, lambda t: ratio * t, b, tol, max_terms, lambda n: math.nan
+    )[0]
 
 
 def is_invertible(a: AlgebraElement) -> bool:
@@ -177,13 +168,13 @@ def is_invertible(a: AlgebraElement) -> bool:
     The cutoff is relative to norm(a), so rescaling an element does not
     change the verdict.
     """
-    return bool(np.min(np.abs(a.coords)) > invertibility_tolerance(a))
+    return bool(np.abs(a.coords).min() > invertibility_tolerance(a))
 
 
 def invert(a: AlgebraElement) -> AlgebraElement:
     """Exact inverse via reciprocal character values."""
-    if not is_invertible(a):
-        smallest = float(np.min(np.abs(a.coords)))
+    smallest = float(np.abs(a.coords).min())
+    if smallest <= invertibility_tolerance(a):
         raise NotInvertible(
             f"character value with modulus {smallest:.3e} is numerically zero"
         )
@@ -216,38 +207,49 @@ def spectral_radius_exact(a: AlgebraElement) -> float:
     The characters exhaust the spectrum in these models, so this is the
     largest character-value modulus, prior to any deduplication.
     """
-    return float(np.max(np.abs(a.coords)))
+    return float(np.abs(a.coords).max())
+
+
+def _squaring_roots(x, square, size):
+    """Yield size(x^(2^k))^(1/2^k) for k = 0, 1, ...  Each square is divided
+    by its size and the scale is kept in log space; a square of size 0 or of
+    non-finite size raises :class:`Overflow`, and an x of size 0 yields 0s."""
+    s = size(x)
+    yield s
+    if s == 0.0:
+        yield from itertools.repeat(0.0)
+    log_scale = math.log(s)
+    x = x / s
+    for k in itertools.count(1):
+        x = square(x)
+        m = size(x)
+        if m == 0.0 or not math.isfinite(m):
+            raise Overflow("repeated squaring left the floating range")
+        x = x / m
+        log_scale = 2.0 * log_scale + math.log(m)
+        yield math.exp(log_scale / 2.0**k)
 
 
 def spectral_radius_limit(a: AlgebraElement, n_max: int = 20) -> RadiusEstimate:
     """Estimate the spectral radius as the limit of norm(a^(2^k))^(1/2^k).
 
-    Powers are formed by repeated squaring in the algebra.  Each square is
-    renormalized and the scale is tracked in log space, so the trace equals
-    the mathematical sequence without overflow whenever ``a.norm()`` is
+    The trace is that sequence, without overflow, whenever ``a.norm()`` is
     finite.  A finite element can still have an infinite norm: a coordinate
     such as ``1.7e308+1.7e308j`` has modulus ``inf``, dividing by it leaves
     zero powers, and :class:`Overflow` is raised.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    norm0 = a.norm()
-    if norm0 == 0.0:
-        return RadiusEstimate(0.0, (0.0,) * (n_max + 1))
-    log_scale = math.log(norm0)
-    b = np.asarray(a.coords) / norm0
-    trace = [norm0]
-    for k in range(1, n_max + 1):
-        b = b * b
-        m = float(np.max(np.abs(b)))
-        if m == 0.0 or not math.isfinite(m):
-            raise Overflow(
-                "power iteration left the floating range; rescale by norm(a)"
-            )
-        b = b / m
-        log_scale = 2.0 * log_scale + math.log(m)
-        trace.append(math.exp(log_scale / 2.0**k))
-    return RadiusEstimate(trace[-1], tuple(trace))
+    roots = _squaring_roots(
+        a.coords, lambda b: b * b, lambda b: float(np.abs(b).max())
+    )
+    trace = tuple(itertools.islice(roots, n_max + 1))
+    return RadiusEstimate(trace[-1], trace)
+
+
+def _hermitian_square(B: np.ndarray) -> np.ndarray:
+    S = B @ B
+    return (S + S.conj().T) / 2
 
 
 def operator_norm(matrix) -> float:
@@ -263,28 +265,13 @@ def operator_norm(matrix) -> float:
         raise ValueError("operator_norm expects a square matrix")
     if not np.all(np.isfinite(M)):
         raise NonFinite("matrix entries must be finite")
-    G = M.conj().T @ M
-    f = float(np.linalg.norm(G))
-    if f == 0.0:
-        return 0.0
-    log_scale = math.log(f)
-    B = G / f
-    previous = None
-    estimate = f
-    for k in range(1, 64):
-        B = B @ B
-        B = (B + B.conj().T) / 2
-        m = float(np.linalg.norm(B))
-        if m == 0.0 or not math.isfinite(m):
-            raise Overflow("squaring left the floating range")
-        B = B / m
-        log_scale = 2.0 * log_scale + math.log(m)
-        estimate = math.exp(log_scale / 2.0**k)
-        if previous is not None and abs(estimate - previous) <= 1e-13 * max(
-            1.0, estimate
-        ):
+    roots = _squaring_roots(
+        M.conj().T @ M, _hermitian_square, lambda B: float(np.linalg.norm(B))
+    )
+    # k = 1 .. 63; stop at the first k >= 2 that agrees with k - 1
+    for previous, estimate in itertools.pairwise(itertools.islice(roots, 1, 64)):
+        if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
             break
-        previous = estimate
     return math.sqrt(estimate)
 
 
@@ -293,9 +280,7 @@ def apply_polynomial(coefficients, a: AlgebraElement) -> AlgebraElement:
 
     Horner's scheme in the algebra: ``p(a) = c0*e + a*(c1*e + a*(...))``.
     """
-    coeffs = [complex(c) for c in coefficients]
-    if not coeffs:
-        coeffs = [0j]
+    coeffs = [complex(c) for c in coefficients] or [0j]
     algebra = a.algebra
     acc = algebra.element(np.full(algebra.dim, coeffs[-1]))
     for c in reversed(coeffs[:-1]):
@@ -328,7 +313,9 @@ def apply_function(g, a: AlgebraElement) -> AlgebraElement:
     return a.algebra.element(out)
 
 
-def classify_element(a: AlgebraElement, tol: float = 1e-9) -> ClassificationReport:
+def classify_element(
+    a: AlgebraElement, tol: float = DEFAULT_MERGE_TOL
+) -> ClassificationReport:
     """Test the four defining identities and report measured defects.
 
     self-adjoint: a = a*;  unitary: a* a = e;  projection: a^2 = a and

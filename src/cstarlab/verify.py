@@ -54,7 +54,7 @@ from .sampling import (
     random_pullback_hom,
     random_space,
 )
-from .spectra import hausdorff_distance
+from .spectra import DEFAULT_MERGE_TOL, hausdorff_distance
 from .spectral import (
     apply_polynomial,
     classify_element,
@@ -402,7 +402,9 @@ def law_norm_uniqueness(rng, tol, max_size, i):
     yield check("norm_uniqueness", f"{algebra.describe()} #{i}", defect, 1e-8)
 
 
-def run_suite(seed: int = 0, tol: float = 1e-9, max_size: int = 8) -> list[CheckRecord]:
+def run_suite(
+    seed: int = 0, tol: float = DEFAULT_MERGE_TOL, max_size: int = 8
+) -> list[CheckRecord]:
     """Run every law once, in registry order, with one shared seeded generator."""
     rng = np.random.default_rng(seed)
     return [rec for _, run in LAWS for rec in run(rng, tol, max_size)]

@@ -327,6 +327,14 @@ GOLDEN_VERIFY_STREAMS = {
     (0, 12): "31795886e42a",
     (1, 12): "0667731c9e03",
     (42, 12): "47ffa24e01b2",
+    (7, 1): "b6a0c870779f",
+    (7, 4): "856dc9c948e8",
+    (7, 8): "a59fc72ed8dc",
+    (7, 12): "11c762dc223e",
+    (123, 1): "6bba7320ba6a",
+    (123, 4): "38441131ac7c",
+    (123, 8): "9832308ca0aa",
+    (123, 12): "fa7361450337",
 }
 
 

@@ -14,6 +14,7 @@ from cstarlab import (
     NotInvertible,
     Overflow,
     PerturbationTooLarge,
+    RadiusEstimate,
     SpectrumHit,
     SpectrumSet,
     Unconverged,
@@ -249,6 +250,7 @@ def test_neumann_unconverged_carries_partial_sum():
     assert err.report.terms_used == 3
     # partial sum after three terms is 1 + 0.9 + 0.81
     assert err.partial.coords[0] == pytest.approx(2.71)
+    assert err.report.a_priori_bound == 0.9**3 / (1.0 - 0.9)
 
 
 def test_perturbation_inverse_small_example():
@@ -257,6 +259,21 @@ def test_perturbation_inverse_small_example():
     b = algebra.element([2.0, 1.9])
     s = perturbation_inverse(a, b, tol=1e-14)
     assert np.allclose(s.coords, [0.5, 1.0 / 1.9], atol=1e-12)
+
+
+def test_perturbation_unconverged_carries_partial_sum():
+    algebra = algebra_of(2)
+    a = algebra.element([2.0, 4.0])
+    b = algebra.element([1.5, 4.0])
+    with pytest.raises(Unconverged) as info:
+        perturbation_inverse(a, b, max_terms=3)
+    err = info.value
+    assert err.report.terms_used == 3
+    assert math.isnan(err.report.a_priori_bound)
+    # a_inv = (0.5, 0.25) and a_inv * (a - b) = (0.25, 0), so the three
+    # terms sum to 0.5 * (1 + 0.25 + 0.0625) and 0.25; all are exact
+    assert list(err.partial.coords) == [0.65625, 0.25]
+    assert err.report.residual == 1.0 - 1.5 * 0.65625
 
 
 def test_perturbation_requires_small_gap():
@@ -370,6 +387,13 @@ def test_radius_limit_trace_is_monotone_to_the_answer():
     errors = [abs(t - 2.0) for t in est.trace]
     assert errors[-1] <= 1e-6
     assert errors[-1] <= errors[0]
+
+
+def test_radius_limit_trace_starts_at_the_norm():
+    f = algebra_of(3).element([0.5, -2j, 1.5])
+    assert spectral_radius_limit(f, n_max=0).trace == (f.norm(),)
+    zero = spectral_radius_limit(algebra_of(2).zero(), n_max=3)
+    assert zero == RadiusEstimate(0.0, (0.0,) * 4)
 
 
 def test_radius_limit_handles_large_norms_without_overflow():
