@@ -21,7 +21,6 @@ from .algebra import (
 from .duality import (
     CheckRecord,
     EquivalenceReport,
-    NaturalitySquareReport,
     functor_F_morphism,
     functor_F_object,
     functor_G_morphism,

@@ -50,11 +50,10 @@ __all__ = [
     "make_normal_generator_algebra",
     "make_star_homomorphism",
     "restriction_homomorphism",
-    "DEFAULT_NORMALITY_TOL",
     "DEFAULT_EIGENVALUE_MERGE_TOL",
 ]
 
-DEFAULT_NORMALITY_TOL = 1e-10
+_NORMALITY_TOL = 1e-10
 # relative to 2^k, the power of two above the generator's largest entry
 DEFAULT_EIGENVALUE_MERGE_TOL = 1e-8
 
@@ -159,18 +158,13 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
     basis.  Elements are functions on the distinct spectrum; ``materialize``
     turns coordinates back into a dense matrix.
 
-    The cluster gap and ``eigenvalue_merge_tol`` are relative to 2^k, the
-    power of two above the largest real or imaginary part of an entry, so
-    c N generates an algebra of the same dimension as N for every c > 0.
-    ``distinct_spectrum.merge_tol`` is the absolute cutoff that was applied.
+    The cluster gap and ``DEFAULT_EIGENVALUE_MERGE_TOL`` are relative to 2^k,
+    the power of two above the largest |Re| or |Im| of an entry, so c N has
+    the dimension of N for every c > 0 and the generator alone fixes the
+    algebra.  ``distinct_spectrum.merge_tol`` is the absolute cutoff applied.
     """
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        eigenvalue_merge_tol: float = DEFAULT_EIGENVALUE_MERGE_TOL,
-    ):
+    def __init__(self, matrix):
         M = np.asarray(matrix, dtype=complex)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
             raise ValueError("generator must be a square matrix with n >= 1")
@@ -183,7 +177,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         # and the cluster gap and the merge cutoff scale with M.
         k, Ms, defect_s = _scaled_commutator(M)
         fro_s = float(np.linalg.norm(Ms))
-        bound_s = DEFAULT_NORMALITY_TOL * fro_s * fro_s
+        bound_s = _NORMALITY_TOL * fro_s * fro_s
         if not defect_s <= bound_s:
             raise NotNormal(defect_s, bound_s, 2 * k)
 
@@ -208,7 +202,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         # two exact factors, because 2.0**k overflows at k = 1024
         eigs = eigs_s * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
-        merge_tol = _unscale(eigenvalue_merge_tol, k)[0]
+        merge_tol = _unscale(DEFAULT_EIGENVALUE_MERGE_TOL, k)[0]
         reps, assign = dedup_points(eigs, merge_tol)
         self.dimension_n = n
         # adding 0.0 turns -0.0 into 0.0, so equal generators have equal bytes
@@ -265,17 +259,10 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
             isinstance(other, NormalGeneratorAlgebra)
             and self.dimension_n == other.dimension_n
             and np.array_equal(self.generator, other.generator)
-            and self.distinct_spectrum.merge_tol == other.distinct_spectrum.merge_tol
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                "NormalGeneratorAlgebra",
-                self.distinct_spectrum.merge_tol,
-                self.generator.tobytes(),
-            )
-        )
+        return hash(("NormalGeneratorAlgebra", self.generator.tobytes()))
 
 
 def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
@@ -308,7 +295,7 @@ def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # K is formed after eigh so that it is not held during the call
     w, U = np.linalg.eigh((M + M.conj().T) / 2)
     K = (M - M.conj().T) / 2j
-    gap_tol = 2e-8 * max(1.0, float(np.max(np.abs(w))))
+    gap_tol = 2e-8 * max(1.0, float(np.abs(w).max()))
     start = 0
     for stop in range(1, n + 1):
         if stop < n and w[stop] - w[stop - 1] <= gap_tol:
@@ -445,11 +432,9 @@ def make_function_algebra(space: FiniteSpace) -> FunctionAlgebra:
     return FunctionAlgebra(space)
 
 
-def make_normal_generator_algebra(
-    matrix, *, eigenvalue_merge_tol: float = DEFAULT_EIGENVALUE_MERGE_TOL
-) -> NormalGeneratorAlgebra:
+def make_normal_generator_algebra(matrix) -> NormalGeneratorAlgebra:
     """The commutative algebra generated by one normal matrix."""
-    return NormalGeneratorAlgebra(matrix, eigenvalue_merge_tol=eigenvalue_merge_tol)
+    return NormalGeneratorAlgebra(matrix)
 
 
 def make_star_homomorphism(

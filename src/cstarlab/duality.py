@@ -7,11 +7,12 @@ algebra and a point map to precomposition.  The two natural transformations
 indicator elements rather than assumed, so an indexing bug shows up as a
 failed probe instead of a silently commuting square.
 
-Reports carry measured defects.  For honest probes the defects are exact
-zeros or machine-size floats; the verifiers exist to certify that, not to
-put a green checkmark on an approximation.  There is one pass rule, written
-in :func:`check`: a record passes when its defect is at most its bound.  The
-bound is 0.0 for the exact checks (``mu_bijection``, ``double_dual_size``,
+Every verifier returns an :class:`EquivalenceReport` of measured defects;
+a naturality report holds one record, ``naturality_tau`` or
+``naturality_mu``, about its morphism.  For honest probes the defects are
+exact zeros or machine-size floats.  The one pass rule is :func:`check`: a
+record passes when its defect is at most its bound, 0.0 for the exact
+checks (``mu_bijection``, ``double_dual_size``,
 ``tau_surjective_dimension``) and ``PROBE_TOL`` for the rest.
 """
 
@@ -34,7 +35,6 @@ from .spaces import ContinuousMap, FiniteSpace
 __all__ = [
     "CheckRecord",
     "check",
-    "NaturalitySquareReport",
     "EquivalenceReport",
     "functor_F_object",
     "functor_F_morphism",
@@ -67,19 +67,9 @@ def check(law: str, instance: str, defect: float, bound: float = PROBE_TOL) -> C
 
 
 @dataclass(frozen=True)
-class NaturalitySquareReport:
-    """A naturality square commutes when its defect is within PROBE_TOL."""
-
-    morphism: str
-    max_defect: float
-
-    @property
-    def commutes(self) -> bool:
-        return self.max_defect <= PROBE_TOL
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
+    """The records of one verified subject; it passes when all of them do."""
+
     subject: str
     checks: tuple[CheckRecord, ...]
 
@@ -123,7 +113,7 @@ def functor_F_morphism(phi) -> ContinuousMap:
         best = int(np.argmax(np.abs(row)))
         defect = max(
             abs(row[best] - 1.0),
-            float(np.max(np.abs(np.delete(row, best)))) if len(row) > 1 else 0.0,
+            float(np.abs(np.delete(row, best)).max()) if len(row) > 1 else 0.0,
         )
         if defect > PROBE_TOL:
             raise NotACharacter(
@@ -190,7 +180,7 @@ def mu(space: FiniteSpace) -> ContinuousMap:
     return result
 
 
-def verify_naturality_tau(phi: StarHomomorphism) -> NaturalitySquareReport:
+def verify_naturality_tau(phi: StarHomomorphism) -> EquivalenceReport:
     """Check the square comparing phi with its double-dual along tau.
 
     Both paths from the source algebra to functions on the target's
@@ -201,16 +191,13 @@ def verify_naturality_tau(phi: StarHomomorphism) -> NaturalitySquareReport:
     A, B = phi.source, phi.target
     tau_A, tau_B = tau(A), tau(B)
     double_dual = functor_G_morphism(functor_F_morphism(phi))
-    max_defect = 0.0
-    for i in range(A.dim):
-        u = _indicator(A, i)
-        left = double_dual(tau_A(u))
-        right = tau_B(phi(u))
-        max_defect = max(max_defect, (left - right).norm())
-    return NaturalitySquareReport(f"{A.describe()} -> {B.describe()}", max_defect)
+    basis = [_indicator(A, i) for i in range(A.dim)]
+    defect = max((double_dual(tau_A(u)) - tau_B(phi(u))).norm() for u in basis)
+    name = f"{A.describe()} -> {B.describe()}"
+    return EquivalenceReport(name, (check("naturality_tau", name, defect),))
 
 
-def verify_naturality_mu(f: ContinuousMap) -> NaturalitySquareReport:
+def verify_naturality_mu(f: ContinuousMap) -> EquivalenceReport:
     """Check the square comparing f with its double-dual along mu.
 
     The two composite point maps land in the same character space, so the
@@ -222,12 +209,13 @@ def verify_naturality_mu(f: ContinuousMap) -> NaturalitySquareReport:
 
 def _mu_square(
     f: ContinuousMap, mu_X: ContinuousMap, mu_Y: ContinuousMap
-) -> NaturalitySquareReport:
+) -> EquivalenceReport:
     """The mu square of ``f`` from mu of its source and of its target."""
     path_forward = f.then(mu_Y)
     path_dual = mu_X.then(functor_F_morphism(functor_G_morphism(f)))
-    max_defect = float(path_forward.assignment != path_dual.assignment)
-    return NaturalitySquareReport(f"{f.source!r} -> {f.target!r}", max_defect)
+    defect = float(path_forward.assignment != path_dual.assignment)
+    name = f"{f.source!r} -> {f.target!r}"
+    return EquivalenceReport(name, (check("naturality_mu", name, defect),))
 
 
 def verify_equivalence(subject) -> EquivalenceReport:

@@ -69,9 +69,6 @@ class CharacterSpace:
     def __iter__(self):
         return iter(self.members)
 
-    def __getitem__(self, i: int) -> Character:
-        return self.members[i]
-
 
 def characters(algebra: CommutativeAlgebra) -> CharacterSpace:
     """Enumerate the characters of an algebra in canonical order."""

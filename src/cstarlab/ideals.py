@@ -79,13 +79,13 @@ class Ideal:
         """Linear dimension: one free coordinate per non-vanishing character."""
         return self.algebra.dim - self.mask.bit_count()
 
-    def contains(self, a: AlgebraElement, tol: float | None = None) -> bool:
+    def contains(self, a: AlgebraElement) -> bool:
         if a.algebra != self.algebra:
             raise AlgebraMismatch("element belongs to a different algebra")
         if not self.mask:
             return True
-        cutoff = invertibility_tolerance(a) if tol is None else tol
-        return max(abs(complex(a.coords[i])) for i in _indices(self.mask)) <= cutoff
+        worst = max(abs(complex(a.coords[i])) for i in _indices(self.mask))
+        return worst <= invertibility_tolerance(a)
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Vanish on both zero sets: the zero sets unite."""
@@ -142,7 +142,7 @@ class QuotientAlgebra:
         """Norm of the coset of ``a``: the sup over the zero set."""
         if a.algebra != self.base:
             raise AlgebraMismatch("element belongs to a different algebra")
-        return float(np.max(np.abs(a.coords[_indices(self.ideal.mask)])))
+        return float(np.abs(a.coords[_indices(self.ideal.mask)]).max())
 
 
 def ideal_from_closed_set(algebra: CommutativeAlgebra, closed_set) -> Ideal:

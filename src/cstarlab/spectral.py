@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class ClassificationReport:
     flags: dict[str, bool]
     witness_tolerances: dict[str, float]
     positive_offender: complex | None = None
-    tol: float = field(default=0.0)
 
 
 def invertibility_tolerance(a: AlgebraElement) -> float:
@@ -181,16 +180,14 @@ def invert(a: AlgebraElement) -> AlgebraElement:
     return a.algebra.element(1.0 / a.coords)
 
 
-def resolvent(
-    a: AlgebraElement, lam: complex, merge_tol: float = DEFAULT_MERGE_TOL
-) -> AlgebraElement:
-    """The inverse of ``lam * e - a`` for lam outside the spectrum."""
+def resolvent(a: AlgebraElement, lam: complex) -> AlgebraElement:
+    """The inverse of ``lam * e - a``; lam is kept DEFAULT_MERGE_TOL off the spectrum."""
     lam = complex(lam)
     gaps = np.abs(lam - a.coords)
     nearest = int(np.argmin(gaps))
-    if gaps[nearest] <= merge_tol:
+    if gaps[nearest] <= DEFAULT_MERGE_TOL:
         raise SpectrumHit(
-            f"{lam} is within {merge_tol:g} of spectrum point "
+            f"{lam} is within {DEFAULT_MERGE_TOL:g} of spectrum point "
             f"{complex(a.coords[nearest])}"
         )
     return a.algebra.element(1.0 / (lam - a.coords))
@@ -325,12 +322,12 @@ def classify_element(
     # |z|^2 and z^2 overflow above about 1e154, where a is neither unitary
     # nor a projection: those two defects read inf, the other two stay finite
     with np.errstate(over="ignore", invalid="ignore"):
-        sa_defect = float(np.max(np.abs(z - z.conj())))
-        un_defect = float(np.max(np.abs(z.conj() * z - 1.0)))
-        pr_defect = max(float(np.max(np.abs(z * z - z))), sa_defect)
+        sa_defect = float(np.abs(z - z.conj()).max())
+        un_defect = float(np.abs(z.conj() * z - 1.0).max())
+        pr_defect = max(float(np.abs(z * z - z).max()), sa_defect)
     root = apply_function(cmath.sqrt, a)
     pos_gap = np.abs((root * root.star() - a).coords)
-    pos_defect = float(np.max(pos_gap))
+    pos_defect = float(pos_gap.max())
     offender = None
     if pos_defect > tol:
         offender = complex(a.coords[int(np.argmax(pos_gap))])
@@ -341,7 +338,7 @@ def classify_element(
         "positive": pos_defect,
     }
     flags = {name: defect <= tol for name, defect in defects.items()}
-    return ClassificationReport(flags, defects, offender, tol)
+    return ClassificationReport(flags, defects, offender)
 
 
 def inversion_delta(a_inverse_norm: float, eps: float) -> float:

@@ -468,10 +468,10 @@ def test_eigenvalue_dedup_respects_merge_tolerance():
     ]
     assert all(d > algebra.distinct_spectrum.merge_tol for d in dists)
 
-    fine = make_normal_generator_algebra(
-        np.diag([1.0, 1.0 + 5e-10, 2.0]), eigenvalue_merge_tol=1e-12
-    )
-    assert fine.dim == 3
+    # the largest entry 2 gives 2^k = 4, a cutoff of 4e-8: 1e-7 apart stays distinct
+    apart = make_normal_generator_algebra(np.diag([1.0, 1.0 + 1e-7, 2.0]))
+    assert apart.distinct_spectrum.merge_tol == 4e-8
+    assert apart.dim == 3
 
 
 def test_unitary_generator_with_conjugate_pairs():
@@ -528,11 +528,10 @@ def test_algebras_built_separately_from_one_matrix_interoperate():
     assert signed == plain and hash(signed) == hash(plain)
 
 
-def test_different_merge_tolerance_is_a_different_algebra():
-    M = np.diag([1.0, 2.0])
-    A = make_normal_generator_algebra(M)
-    C = make_normal_generator_algebra(M, eigenvalue_merge_tol=1e-6)
-    assert A != C
+def test_different_generators_are_different_algebras():
+    A = make_normal_generator_algebra(np.diag([1.0, 2.0]))
+    C = make_normal_generator_algebra(np.diag([1.0, 3.0]))
+    assert A.dim == C.dim and A != C
     with pytest.raises(AlgebraMismatch):
         A.unit() + C.unit()
     with pytest.raises(AlgebraMismatch):

@@ -348,6 +348,25 @@ def test_structured_verify_stream_is_golden(seed, max_size):
     assert digest == GOLDEN_VERIFY_STREAMS[seed, max_size]
 
 
+# sha256 prefixes of ``verify --format text``: the per-law summary lines
+GOLDEN_VERIFY_TEXT_STREAMS = {
+    (0, 4): "ff42c5ce4490",
+    (0, 12): "05e978ebb8c2",
+    (42, 4): "7bcaf50f6a86",
+    (42, 12): "3032abf9133e",
+}
+
+
+@pytest.mark.parametrize("seed, max_size", sorted(GOLDEN_VERIFY_TEXT_STREAMS))
+def test_text_verify_stream_is_golden(seed, max_size):
+    code, text = run_cli(
+        command="verify", seed=seed, max_size=max_size, output_format="text"
+    )
+    assert code == 0
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    assert digest == GOLDEN_VERIFY_TEXT_STREAMS[seed, max_size]
+
+
 def _golden_documents() -> dict[str, str]:
     """A 16x16 normal matrix with 4 eigenvalues of multiplicity 4, and 40 points."""
     rng = np.random.default_rng(7)

@@ -31,6 +31,13 @@ def space_of(n, prefix="x"):
     return FiniteSpace(tuple(f"{prefix}{i}" for i in range(n)))
 
 
+def assert_single_check(report, law):
+    """A naturality report is one record of its law about its own subject."""
+    (record,) = report.checks
+    assert (record.law, record.instance) == (law, report.subject)
+    assert (record.defect, record.passed) == (report.max_defect, report.passed)
+
+
 def all_maps(X, Y):
     for images in itertools.product(Y.points, repeat=len(X.points)):
         yield ContinuousMap(X, Y, images)
@@ -202,7 +209,8 @@ def test_tau_naturality_squares_commute():
         B = make_function_algebra(space_of(n_b, "b").points)
         phi = make_star_homomorphism(rng.integers(0, n_a, n_b), A, B)
         report = verify_naturality_tau(phi)
-        assert report.commutes
+        assert report.passed
+        assert_single_check(report, "naturality_tau")
         assert report.max_defect <= 1e-10
 
 
@@ -211,7 +219,8 @@ def test_mu_naturality_squares_commute_exhaustively():
         X, Y = space_of(n, "s"), space_of(m, "t")
         for f in all_maps(X, Y):
             report = verify_naturality_mu(f)
-            assert report.commutes
+            assert report.passed
+            assert_single_check(report, "naturality_mu")
             assert report.max_defect == 0.0
 
 
@@ -225,7 +234,8 @@ def test_mu_naturality_detects_a_wrong_double_dual(monkeypatch):
     monkeypatch.setattr(duality, "functor_F_morphism", constant)
     X = space_of(3)
     report = verify_naturality_mu(ContinuousMap.identity(X))
-    assert not report.commutes
+    assert not report.passed
+    assert_single_check(report, "naturality_mu")
     assert report.max_defect == 1.0
 
 
@@ -234,7 +244,8 @@ def test_tau_naturality_includes_matrix_sources():
     B = make_function_algebra(("u", "v"))
     phi = make_star_homomorphism((1, 0), A, B)
     report = verify_naturality_tau(phi)
-    assert report.commutes
+    assert report.passed
+    assert_single_check(report, "naturality_tau")
 
 
 # ---------------------------------------------------------------------------

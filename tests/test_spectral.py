@@ -330,12 +330,15 @@ def test_invertibility_cutoff_scales_with_norm():
     assert not is_invertible(small)
 
 
-@pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1.0, 1e200, 1e300])
 def test_invertibility_verdict_does_not_depend_on_scale(c):
     algebra = algebra_of(2)
     assert not is_invertible(algebra.element([c, 1e-14 * c]))
     assert is_invertible(algebra.element([1e-12 * c, 2e-12 * c]))
     assert not is_invertible(algebra.zero())
+    # both sides of the cutoff 1e-10 * norm: 1e-3 or 1e-12 would fail here
+    assert is_invertible(algebra.element([c, 1e-9 * c]))
+    assert not is_invertible(algebra.element([c, 1e-11 * c]))
 
 
 def test_operator_norm_rejects_non_finite_entries_as_a_cstar_error():
