@@ -34,8 +34,10 @@ def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[i
     drops ``r`` for good.  The cost is a sort plus one distance per pair of
     value and representative whose real parts lie within ``merge_tol``.
     """
-    vals = [complex(v) for v in values]
-    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    arr = np.asarray(values, dtype=complex).reshape(-1)
+    vals = arr.tolist()
+    # stable, and -0.0 ties with 0.0, as sorting (Re, Im) tuples would
+    order = np.lexsort((arr.imag, arr.real)).tolist()
     reps: list[complex] = []
     assign = [0] * len(vals)
     first = 0

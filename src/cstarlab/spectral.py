@@ -1,7 +1,8 @@
 """Spectral calculus: series inversion, spectra, radii, classification.
 
-The geometric series drives everything here.  Truncated series are summed
-with honest algebra operations and their residuals are measured, never
+The geometric series drives everything here.  Character coordinates are
+the algebra's arithmetic (it is C of its characters), so truncated series
+are summed on coordinate arrays, and their residuals are measured, never
 assumed; the closed-form coordinatewise answers exist too, but they are
 kept in the test suite as independent oracles.
 
@@ -100,25 +101,31 @@ def invertibility_tolerance(a: AlgebraElement) -> float:
 
 def _geometric_sum(first, step, target, tol, max_terms, tail_bound):
     """Sum first, step(first), step(step(first)), ... as an inverse of target
-    (see neumann_inverse).  ``step`` is a callable, not a ratio: numpy's
-    complex x * y and y * x can differ in the last bit, so each caller keeps
-    its own operand order."""
-    e = first.algebra.unit()
-    total = term = first
+    (see neumann_inverse) on coordinate arrays; only the sum is wrapped.
+    ``step`` maps coordinates to coordinates and is a callable, not a ratio:
+    numpy's complex x * y and y * x can differ in the last bit, so each caller
+    keeps its own operand order."""
+    total, term = first.coords.copy(), first.coords
     terms = 1
-    residual = (target * total - e).norm()
-    while residual > tol:
+    while (residual := _residual(target.coords * total - 1.0)) > tol:
         if terms >= max_terms:
             raise Unconverged(
                 f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
-                partial=total,
+                partial=first.algebra._fresh(total),
                 report=NeumannReport(terms, residual, tail_bound(terms)),
             )
         term = step(term)
-        total = total + term
+        total += term
         terms += 1
-        residual = (target * total - e).norm()
-    return total, NeumannReport(terms, residual, tail_bound(terms))
+    return first.algebra._fresh(total), NeumannReport(terms, residual, tail_bound(terms))
+
+
+def _residual(r: np.ndarray) -> float:
+    """sup|r|; NonFinite as _fresh, but an overflowing modulus reads inf."""
+    residual = float(np.abs(r).max())
+    if not math.isfinite(residual) and not np.isfinite(r).all():
+        raise NonFinite("coordinates must be finite")
+    return residual
 
 
 def neumann_inverse(
@@ -135,7 +142,7 @@ def neumann_inverse(
         raise NormTooLarge(f"geometric series needs norm(a) < 1, got {norm_a:.6g}")
     e = a.algebra.unit()
     return _geometric_sum(
-        e, lambda t: t * a, e - a, tol, max_terms, lambda n: norm_a**n / (1.0 - norm_a)
+        e, lambda t: t * a.coords, e - a, tol, max_terms, lambda n: norm_a**n / (1.0 - norm_a)
     )
 
 
@@ -157,7 +164,7 @@ def perturbation_inverse(
         )
     ratio = a_inv * diff
     return _geometric_sum(
-        a_inv, lambda t: ratio * t, b, tol, max_terms, lambda n: math.nan
+        a_inv, lambda t: ratio.coords * t, b, tol, max_terms, lambda n: math.nan
     )[0]
 
 
@@ -275,14 +282,14 @@ def operator_norm(matrix) -> float:
 def apply_polynomial(coefficients, a: AlgebraElement) -> AlgebraElement:
     """Evaluate a polynomial (ascending coefficients) on an element.
 
-    Horner's scheme in the algebra: ``p(a) = c0*e + a*(c1*e + a*(...))``.
+    Horner's scheme on the coordinates, ``p(a) = c0*e + a*(c1*e + a*(...))``,
+    wrapped once: a non-finite coefficient or step raises :class:`NonFinite`.
     """
     coeffs = [complex(c) for c in coefficients] or [0j]
-    algebra = a.algebra
-    acc = algebra.element(np.full(algebra.dim, coeffs[-1]))
+    acc = np.full(a.algebra.dim, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * a + algebra.element(np.full(algebra.dim, c))
-    return acc
+        acc = acc * a.coords + c
+    return a.algebra._fresh(acc)
 
 
 def apply_function(g, a: AlgebraElement) -> AlgebraElement:

@@ -37,6 +37,8 @@ from cstarlab import (
     spectral_radius_limit,
     spectrum,
 )
+from cstarlab.algebra import CommutativeAlgebra
+from cstarlab.spectral import _geometric_sum
 
 
 def algebra_of(n):
@@ -153,6 +155,23 @@ def test_dedup_matches_greedy_oracle_on_exact_ties(case):
 @settings(max_examples=200)
 @given(ulp_gap_values())
 def test_dedup_matches_greedy_oracle_at_one_ulp_real_gaps(case):
+    assert_matches_oracle(*case)
+
+
+@st.composite
+def signed_zero_values(draw):
+    """Real parts 0.0 and -0.0 with exact repeats, as a tuple or an ndarray."""
+    tol = draw(st.sampled_from([1e-9, 0.5, 1.0]))
+    imags = st.sampled_from([0.0, -0.0, tol / 2, -tol / 2, tol, 3 * tol])
+    pool = draw(st.lists(st.tuples(st.sampled_from([0.0, -0.0]), imags), min_size=1))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    values = [complex(re, im) for re, im in picks]
+    return draw(st.sampled_from([tuple, np.array]))(values), tol
+
+
+@settings(max_examples=300)
+@given(signed_zero_values())
+def test_dedup_matches_greedy_oracle_on_signed_zeros_and_repeats(case):
     assert_matches_oracle(*case)
 
 
@@ -282,6 +301,86 @@ def test_perturbation_requires_small_gap():
     # the inverse has norm 1/2, so the open ball has radius 2
     with pytest.raises(PerturbationTooLarge):
         perturbation_inverse(a, algebra.element([2.0, 0.0]))
+
+
+def test_series_overflow_raises_non_finite():
+    # the terms 1, 1e300, 1e600: the third overflows to inf
+    e = algebra_of(2).unit()
+    with pytest.raises(NonFinite):
+        _geometric_sum(e, lambda t: t * 1e300, 2 * e, 1e-10, 100, lambda n: math.nan)
+    # finite terms, but target * sum overflows to inf - inf = nan, which must
+    # not read as a residual within tolerance
+    big = (1e300 + 1e300j) * e
+    with pytest.raises(NonFinite):
+        _geometric_sum(1e10 * e, lambda t: 0 * t, big, 1e-10, 100, lambda n: math.nan)
+
+
+def test_series_with_overflowing_residual_modulus_is_unconverged():
+    # the residual's coordinates stay finite but its modulus reads inf, so
+    # the series runs to max_terms instead of raising NonFinite
+    algebra = algebra_of(2)
+    e = algebra.unit()
+    target = algebra.element([1.5e308 + 1.5e308j, 1.0])
+    with pytest.raises(Unconverged) as info:
+        _geometric_sum(e, lambda t: 0 * t, target, 1e-10, 5, lambda n: math.nan)
+    assert info.value.report.residual == math.inf
+    assert info.value.report.terms_used == 5
+
+
+def _snapshot(*elements):
+    return [x.coords.tobytes() for x in elements]
+
+
+def test_series_inverses_neither_write_nor_alias_their_inputs():
+    rng = np.random.default_rng(5)
+    algebra = algebra_of(6)
+    a = random_element(algebra, rng, scale=0.5)
+    x = algebra.element(rng.uniform(2.0, 3.0, 6) * np.exp(1j * rng.uniform(0, 6, 6)))
+    y = algebra.element(x.coords + random_element(algebra, rng, scale=0.3).coords)
+    before = _snapshot(a, x, y)
+    results = [
+        (neumann_inverse(a)[0], [a]),
+        (neumann_inverse(algebra.zero())[0], []),
+        (perturbation_inverse(x, y), [x, y, invert(x)]),
+        # the sum stops at its first term, the inverse of x
+        (perturbation_inverse(x, x), [x, invert(x)]),
+    ]
+    for call in (
+        lambda: neumann_inverse(a, tol=1e-15, max_terms=2),
+        lambda: perturbation_inverse(x, y, tol=1e-15, max_terms=2),
+    ):
+        with pytest.raises(Unconverged) as info:
+            call()
+        results.append((info.value.partial, [a, x, y]))
+    assert _snapshot(a, x, y) == before
+    for result, inputs in results:
+        assert not result.coords.flags.writeable
+        for other in inputs:
+            assert not np.shares_memory(result.coords, other.coords)
+
+
+def test_neumann_wraps_a_constant_number_of_elements(monkeypatch):
+    # the terms are coordinate arrays: no element is built per term
+    calls = 0
+    fresh = CommutativeAlgebra._fresh
+
+    def counting_fresh(self, arr):
+        nonlocal calls
+        calls += 1
+        return fresh(self, arr)
+
+    monkeypatch.setattr(CommutativeAlgebra, "_fresh", counting_fresh)
+    rng = np.random.default_rng(9)
+    algebra = algebra_of(512)
+    counts = {}
+    for norm in (0.1, 0.7):
+        a = random_element(algebra, rng)
+        a = algebra.element(a.coords * (norm / a.norm()))
+        calls = 0
+        _, report = neumann_inverse(a)
+        counts[norm] = (calls, report.terms_used)
+    assert counts[0.7][1] >= 60 > counts[0.1][1]
+    assert counts[0.7][0] == counts[0.1][0] <= 4
 
 
 def test_perturbed_elements_stay_invertible():
@@ -470,6 +569,16 @@ def test_polynomial_matches_polyval_oracle():
         mine = apply_polynomial(coeffs, a)
         oracle = np.polyval(coeffs[::-1], a.coords)
         assert float(np.max(np.abs(mine.coords - oracle))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "coeffs, value",
+    [([math.inf], 0.5), ([1.0, math.nan], 0.5), ([0.0, 0.0, 1.0], 1e200)],
+    ids=["inf-coefficient", "nan-coefficient", "overflowing-step"],
+)
+def test_polynomial_with_non_finite_result_raises(coeffs, value):
+    with pytest.raises(NonFinite):
+        apply_polynomial(coeffs, algebra_of(2).element([value, 1.0]))
 
 
 def test_spectral_mapping_for_polynomials():
