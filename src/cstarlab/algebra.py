@@ -13,11 +13,12 @@ analytic content of the matrix model sits in the eigendecomposition done
 once at construction time.
 
 Coordinates are validated once, where they enter.  ``element`` is the entry
-for outside input: it converts, checks the length, copies and checks
-finiteness.  Arithmetic, ``star`` and homomorphisms build a new array of the
-right length themselves, so they only check finiteness (an overflow or a
-NaN still raises :class:`NonFinite`).  Every element's array is read-only,
-which lets the Gelfand transform share it instead of copying it.
+for outside input, and only ``interchange`` calls it: it converts, checks
+the length, copies and checks finiteness.  Every array the package builds
+itself has the right length by construction, so ``_fresh`` wraps it and
+only checks finiteness (an overflow or a NaN still raises
+:class:`NonFinite`).  Every element's array is read-only, which lets the
+Gelfand transform share it instead of copying it.
 """
 
 from __future__ import annotations
@@ -211,8 +212,6 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         self.eigenvectors = _readonly(U)
         self.distinct_spectrum = SpectrumSet(reps, merge_tol)
         self.multiplicity_map = assign
-        self.normality_defect = _unscale(defect_s, 2 * k)[0]
-        self.reconstruction_defect = _unscale(recon_s, k)[0]
         self.dim = len(reps)
 
     def character_label(self, i: int) -> str:
@@ -223,7 +222,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
 
     def generator_element(self) -> "AlgebraElement":
         """The generator itself, i.e. the identity function on the spectrum."""
-        return self.element(np.asarray(self.distinct_spectrum.points))
+        return self._fresh(np.asarray(self.distinct_spectrum.points, dtype=complex))
 
     def materialize(self, a: "AlgebraElement") -> np.ndarray:
         """Dense n-by-n form U diag(f(lambda)) U* of an element."""
@@ -248,7 +247,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         coords = np.zeros(self.dim, dtype=complex)
         for k in range(self.dim):
             coords[k] = diag[mult == k].mean()
-        element = self.element(coords)
+        element = self._fresh(coords)
         residual = float(np.linalg.norm(self.materialize(element) - A))
         return element, residual
 
@@ -324,11 +323,6 @@ class AlgebraElement:
     def __init__(self, algebra: CommutativeAlgebra, coords: np.ndarray):
         self.algebra = algebra
         self.coords = coords
-
-    @property
-    def values(self) -> np.ndarray:
-        """Alias for ``coords``; in C(X) these are the function values."""
-        return self.coords
 
     def _check_same(self, other: "AlgebraElement") -> None:
         if not isinstance(other, AlgebraElement):

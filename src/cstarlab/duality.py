@@ -85,7 +85,7 @@ class EquivalenceReport:
 def _indicator(algebra: CommutativeAlgebra, i: int) -> AlgebraElement:
     coords = np.zeros(algebra.dim, dtype=complex)
     coords[i] = 1.0
-    return algebra.element(coords)
+    return algebra._fresh(coords)
 
 
 def functor_F_object(algebra: CommutativeAlgebra) -> FiniteSpace:
@@ -262,7 +262,7 @@ def _verify_algebra(algebra: CommutativeAlgebra) -> EquivalenceReport:
     family = [_indicator(algebra, i) for i in range(algebra.dim)]
     family.append(algebra.unit())
     family.append(
-        algebra.element(np.arange(1, algebra.dim + 1) * (0.7 - 0.3j) / algebra.dim)
+        algebra._fresh(np.arange(1, algebra.dim + 1) * (0.7 - 0.3j) / algebra.dim)
     )
     pairs = [(a, gelfand_transform(a)) for a in family]
     round_trip = max((gelfand_inverse(algebra, h) - a).norm() for a, h in pairs)

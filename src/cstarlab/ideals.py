@@ -84,7 +84,7 @@ class Ideal:
             raise AlgebraMismatch("element belongs to a different algebra")
         if not self.mask:
             return True
-        worst = max(abs(complex(a.coords[i])) for i in _indices(self.mask))
+        worst = float(np.abs(a.coords[_indices(self.mask)]).max())
         return worst <= invertibility_tolerance(a)
 
     def intersect(self, other: "Ideal") -> "Ideal":
@@ -193,7 +193,7 @@ def factor_through_quotient(
         if not ideal.mask >> img & 1:
             coords = np.zeros(phi.source.dim, dtype=complex)
             coords[img] = 1.0
-            witness = phi.source.element(coords)
+            witness = phi.source._fresh(coords)
             raise NotContained(
                 f"ideal is not inside the kernel: the indicator at character "
                 f"{phi.source.character_label(img)!r} belongs to the ideal "

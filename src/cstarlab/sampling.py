@@ -36,7 +36,7 @@ def random_space(
 def random_element(
     rng: np.random.Generator, algebra: CommutativeAlgebra, magnitude: float = 1.0
 ) -> AlgebraElement:
-    return algebra.element(random_complex(rng, algebra.dim, magnitude))
+    return algebra._fresh(random_complex(rng, algebra.dim, magnitude))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -120,4 +120,4 @@ def random_invertible_element(
     """Random element with all character values bounded away from zero."""
     radii = rng.uniform(min_modulus, max_modulus, algebra.dim)
     angles = rng.uniform(0.0, 2.0 * np.pi, algebra.dim)
-    return algebra.element(radii * np.exp(1j * angles))
+    return algebra._fresh(radii * np.exp(1j * angles))

@@ -64,9 +64,6 @@ class SpectrumSet:
     points: tuple[complex, ...]
     merge_tol: float = DEFAULT_MERGE_TOL
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(complex(p) for p in self.points))
-
     @classmethod
     def from_values(cls, values, merge_tol: float = DEFAULT_MERGE_TOL) -> "SpectrumSet":
         reps, _ = dedup_points(values, merge_tol)
@@ -78,7 +75,7 @@ class SpectrumSet:
 
     def radius(self) -> float:
         """Largest modulus over the points."""
-        return max(abs(p) for p in self.points) if self.points else 0.0
+        return float(np.abs(self.points).max()) if self.points else 0.0
 
     def hausdorff(self, other: "SpectrumSet | tuple | list") -> float:
         pts = other.points if isinstance(other, SpectrumSet) else tuple(other)

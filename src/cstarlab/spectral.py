@@ -9,7 +9,8 @@ kept in the test suite as independent oracles.
 Each loop is written once.  ``_geometric_sum`` sums the Neumann series for
 ``neumann_inverse`` and ``perturbation_inverse``; ``_squaring_roots`` yields
 Gelfand's norm(x^(2^k))^(1/2^k) for ``spectral_radius_limit`` and
-``operator_norm``.
+``operator_norm``.  ``classify_element`` takes its four defects on the one
+coordinate array, where a defect too large for a float reads inf.
 """
 
 from __future__ import annotations
@@ -96,7 +97,10 @@ class ClassificationReport:
 def invertibility_tolerance(a: AlgebraElement) -> float:
     """Cutoff, relative to norm(a), at or below which a character value
     counts as zero; the zero element is therefore not invertible."""
-    return 1e-10 * a.norm()
+    norm = a.norm()
+    if norm == math.inf:  # such as |1.7e308+1.7e308j|; take it at half scale
+        return 2e-10 * float(np.abs(a.coords * 0.5).max())
+    return 1e-10 * norm
 
 
 def _geometric_sum(first, step, target, tol, max_terms, tail_bound):
@@ -184,7 +188,7 @@ def invert(a: AlgebraElement) -> AlgebraElement:
         raise NotInvertible(
             f"character value with modulus {smallest:.3e} is numerically zero"
         )
-    return a.algebra.element(1.0 / a.coords)
+    return a.algebra._fresh(1.0 / a.coords)
 
 
 def resolvent(a: AlgebraElement, lam: complex) -> AlgebraElement:
@@ -197,7 +201,7 @@ def resolvent(a: AlgebraElement, lam: complex) -> AlgebraElement:
             f"{lam} is within {DEFAULT_MERGE_TOL:g} of spectrum point "
             f"{complex(a.coords[nearest])}"
         )
-    return a.algebra.element(1.0 / (lam - a.coords))
+    return a.algebra._fresh(1.0 / (lam - a.coords))
 
 
 def spectrum(a: AlgebraElement, merge_tol: float = DEFAULT_MERGE_TOL) -> SpectrumSet:
@@ -314,7 +318,7 @@ def apply_function(g, a: AlgebraElement) -> AlgebraElement:
                 f"function is not finite on spectrum point {v}", point=v
             )
         out[i] = w
-    return a.algebra.element(out)
+    return a.algebra._fresh(out)
 
 
 def classify_element(
@@ -326,14 +330,15 @@ def classify_element(
     a = a*;  positive: a = b b* for the principal square root b of a.
     """
     z = a.coords
-    # |z|^2 and z^2 overflow above about 1e154, where a is neither unitary
-    # nor a projection: those two defects read inf, the other two stay finite
+    # sup norms on the one coordinate array; a gap too large for a float
+    # (|z|^2 and z^2 above about 1e154, b b* - a near 1e308) reads inf
     with np.errstate(over="ignore", invalid="ignore"):
         sa_defect = float(np.abs(z - z.conj()).max())
         un_defect = float(np.abs(z.conj() * z - 1.0).max())
         pr_defect = max(float(np.abs(z * z - z).max()), sa_defect)
-    root = apply_function(cmath.sqrt, a)
-    pos_gap = np.abs((root * root.star() - a).coords)
+        # cmath.sqrt: np.sqrt's last bit differs on many imaginary values
+        root = np.array(list(map(cmath.sqrt, z.tolist())), dtype=complex)
+        pos_gap = np.abs(root * root.conj() - z)
     pos_defect = float(pos_gap.max())
     offender = None
     if pos_defect > tol:

@@ -384,7 +384,7 @@ _DISTANCES = {
 def law_classification(rng, tol, max_size, i):
     algebra = random_algebra(rng, max_size)
     for cls, make in _MAKERS.items():
-        a = algebra.element(make(rng, algebra.dim))
+        a = algebra._fresh(make(rng, algebra.dim))
         report = classify_element(a, tol)
         name = f"{cls} in {algebra.describe()} #{i}"
         yield check("classification_flag", name, report.witness_tolerances[cls], tol)

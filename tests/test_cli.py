@@ -272,6 +272,26 @@ def test_classify_reports_defects_too_large_for_a_float():
     }
 
 
+@pytest.mark.parametrize(
+    "pair, shown", [([-1e308, 0.0], "-1e+308+0j"), ([1.7e308, 1.7e308], "1.7e+308+1.7e+308j")]
+)
+def test_classify_reports_a_positivity_gap_too_large_for_a_float(pair, shown):
+    # the root is finite, but b b* - a overflows; the element is valid input
+    doc = json.dumps(
+        {"kind": "function_algebra", "points": ["p", "q"], "values": [pair, [1.0, 0.0]]}
+    )
+    code, text = run_cli(command="classify", inline=doc)
+    assert code == 0
+    lines = text.splitlines()
+    assert "positive: no (defect inf)" in lines
+    assert lines[-1] == f"positivity fails at character value {shown}"
+    code, text = run_cli(command="classify", inline=doc, output_format="structured")
+    assert code == 0
+    records = [json.loads(s, parse_constant=_reject_constant) for s in text.splitlines()]
+    assert {"kind": "classification", "class": "positive", "member": False, "defect": None} in records
+    assert records[-1] == {"kind": "positive_offender", "value": pair}
+
+
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "function_algebra", "points": ["\xe9"]}')

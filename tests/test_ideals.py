@@ -73,6 +73,14 @@ def test_membership_cutoff_is_relative_to_the_element():
     assert I.contains(algebra.zero())
 
 
+def test_membership_of_a_value_too_large_for_its_modulus():
+    # 1.7e308+1.7e308j is finite but its modulus overflows a float
+    algebra = make_function_algebra(("a", "b"))
+    f = algebra.element([1.7e308 + 1.7e308j, 0.0])
+    assert not ideal_from_closed_set(algebra, ("a",)).contains(f)
+    assert ideal_from_closed_set(algebra, ("b",)).contains(f)
+
+
 def test_ideal_absorbs_products(A3):
     rng = np.random.default_rng(1)
     I = ideal_from_closed_set(A3, ("2",))

@@ -1,10 +1,11 @@
 """Spectrum sets, inversion series, radius formulas, functional calculus."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstarlab import (
@@ -212,6 +213,11 @@ def test_spectrum_is_bounded_by_norm():
 def test_spectrum_set_radius():
     s = SpectrumSet.from_values([1, -2j, 3])
     assert s.radius() == 3.0
+
+
+def test_spectrum_set_radius_of_a_value_too_large_for_its_modulus():
+    # 1.7e308+1.7e308j is finite but its modulus is not
+    assert SpectrumSet.from_values([1.7e308 + 1.7e308j, 1.0]).radius() == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +433,15 @@ def test_invertibility_cutoff_scales_with_norm():
     small = algebra.element([1.0, 1e-14])
     assert invertibility_tolerance(small) > 1e-14
     assert not is_invertible(small)
+
+
+def test_invertibility_cutoff_stays_finite_when_the_norm_overflows():
+    # |1.7e308+1.7e308j| = 2.404e308 overflows; the cutoff is 1e-10 of it
+    algebra = algebra_of(2)
+    big = 1.7e308 + 1.7e308j
+    assert invertibility_tolerance(algebra.element([big, 0.0])) == pytest.approx(2.404e298, rel=1e-3)
+    assert is_invertible(algebra.element([big, 1e300]))
+    assert not is_invertible(algebra.element([big, 1e297]))
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-200, 1.0, 1e200, 1e300])
@@ -677,6 +692,37 @@ def test_classified_spectra_land_in_the_right_sets():
         rep = classify_element(pos)
         assert rep.flags["positive"]
         assert float(np.min(np.array(spectrum(pos).points).real)) >= -1e-9
+
+
+@pytest.mark.parametrize("value", [-1e308, 1.7e308 + 1.7e308j])
+def test_classify_reads_an_overflowing_positivity_gap_as_inf(value):
+    # finite values at which the gap b b* - a overflows a float
+    report = classify_element(algebra_of(2).element([value, 1.0]))
+    assert report.witness_tolerances["positive"] == math.inf
+    assert not report.flags["positive"]
+    assert report.positive_offender == value
+
+
+_PARTS = st.floats(min_value=-1e300, max_value=1e300)  # signed zeros, subnormals
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+_COORDINATES = st.one_of(
+    st.builds(complex, _PARTS, _PARTS),
+    # both sides of the branch cut on the negative real axis
+    st.builds(complex, st.floats(min_value=-1e300, max_value=-0.0), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, _EDGES, _EDGES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COORDINATES, min_size=1, max_size=8))
+@example([0.6j])  # np.sqrt's root would change the last bit of these gaps
+@example([5e-324j])
+def test_positivity_defect_matches_the_cmath_root_bit_for_bit(values):
+    a = algebra_of(len(values)).element(values)
+    r = apply_function(cmath.sqrt, a)
+    expected = float(np.abs((r * r.star() - a).coords).max())
+    got = classify_element(a).witness_tolerances["positive"]
+    assert got.hex() == expected.hex()
 
 
 def test_classification_tolerance_is_respected():

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from cstarlab import verify
+from cstarlab import (
+    NotContained,
+    StarHomomorphism,
+    factor_through_quotient,
+    invert,
+    make_function_algebra,
+    make_normal_generator_algebra,
+    max_ideals,
+    resolvent,
+    verify,
+    verify_equivalence,
+)
+from cstarlab.algebra import CommutativeAlgebra
 from cstarlab.ideals import Ideal
 from cstarlab.verify import CheckRecord, run_suite, summarize
 
@@ -81,3 +93,28 @@ def test_summarize_keeps_first_appearance_order_and_first_witness():
         {"law": "a", "instances": 2, "max_defect": 2.0, "pass": False, "witness": "a0"},
         {"law": "c", "instances": 1, "max_defect": 0.0, "pass": True, "witness": None},
     ]
+
+
+def test_package_arrays_never_reenter_through_element(monkeypatch):
+    # element() is the entry for outside coordinates; arrays the package
+    # builds itself are wrapped by _fresh, which checks finiteness only
+    matrix_algebra = make_normal_generator_algebra(np.diag([1.0, 2.0, 2.0, 1j]))
+    functions = make_function_algebra(("p", "q", "r"))
+    a = functions.element([2.0, -1j, 0.5])
+    calls = []
+    element = CommutativeAlgebra.element
+
+    def counted(self, coords):
+        calls.append(self)
+        return element(self, coords)
+
+    monkeypatch.setattr(CommutativeAlgebra, "element", counted)
+    run_suite(0, max_size=4)
+    assert verify_equivalence(matrix_algebra).passed
+    invert(a)
+    resolvent(a, 3.0)
+    matrix_algebra.generator_element()
+    matrix_algebra.project_matrix(np.eye(4))
+    with pytest.raises(NotContained):
+        factor_through_quotient(StarHomomorphism.identity(functions), max_ideals(functions)[0])
+    assert calls == []
