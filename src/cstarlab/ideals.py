@@ -90,12 +90,12 @@ class Ideal:
     def intersect(self, other: "Ideal") -> "Ideal":
         """Vanish on both zero sets: the zero sets unite."""
         self._check_same(other)
-        return Ideal(self.algebra, self.mask | other.mask)
+        return _lattice_result(self.algebra, self.mask | other.mask)
 
     def sum_with(self, other: "Ideal") -> "Ideal":
         """Sums vanish only where both summands must: zero sets intersect."""
         self._check_same(other)
-        return Ideal(self.algebra, self.mask & other.mask)
+        return _lattice_result(self.algebra, self.mask & other.mask)
 
     def _check_same(self, other: "Ideal") -> None:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -118,6 +118,17 @@ class MaximalIdeal(Ideal):
     @cached_property
     def point(self) -> int:
         return self.mask.bit_length() - 1
+
+
+def _lattice_result(algebra: CommutativeAlgebra, mask: int) -> Ideal:
+    """An ``Ideal`` built without ``__post_init__``.  The ``|`` or ``&`` of
+    two checked masks of one algebra is an int in range, so a lattice result
+    is not checked again; values are checked once, where they enter."""
+    ideal = object.__new__(Ideal)
+    state = ideal.__dict__
+    state["algebra"] = algebra
+    state["mask"] = mask
+    return ideal
 
 
 def _indices(mask: int) -> list[int]:

@@ -8,6 +8,7 @@ spectra throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,10 @@ def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[i
             first += 1
         best, best_dist = -1, merge_tol
         for k in range(first, len(reps)):
-            d = abs(v - reps[k])
+            try:
+                d = abs(v - reps[k])
+            except OverflowError:  # finite parts, modulus above the float range
+                d = math.inf
             if d <= best_dist:
                 best, best_dist = k, d
         if best < 0:

@@ -111,16 +111,18 @@ def _geometric_sum(first, step, target, tol, max_terms, tail_bound):
     keeps its own operand order."""
     total, term = first.coords.copy(), first.coords
     terms = 1
-    while (residual := _residual(target.coords * total - 1.0)) > tol:
-        if terms >= max_terms:
-            raise Unconverged(
-                f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
-                partial=first.algebra._fresh(total),
-                report=NeumannReport(terms, residual, tail_bound(terms)),
-            )
-        term = step(term)
-        total += term
-        terms += 1
+    # an overflowing term or residual ends in NonFinite (see _residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (residual := _residual(target.coords * total - 1.0)) > tol:
+            if terms >= max_terms:
+                raise Unconverged(
+                    f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
+                    partial=first.algebra._fresh(total),
+                    report=NeumannReport(terms, residual, tail_bound(terms)),
+                )
+            term = step(term)
+            total += term
+            terms += 1
     return first.algebra._fresh(total), NeumannReport(terms, residual, tail_bound(terms))
 
 
@@ -188,20 +190,32 @@ def invert(a: AlgebraElement) -> AlgebraElement:
         raise NotInvertible(
             f"character value with modulus {smallest:.3e} is numerically zero"
         )
-    return a.algebra._fresh(1.0 / a.coords)
+    z = a.coords
+    with np.errstate(over="ignore"):
+        inverse = 1.0 / z
+        # numpy's complex division returns 0 once |z| overflows, although
+        # 1/z (down to about 2.9e-309) is a float; take those at half scale
+        lost = inverse == 0
+        inverse[lost] = 0.5 / (0.5 * z[lost])
+    return a.algebra._fresh(inverse)
 
 
 def resolvent(a: AlgebraElement, lam: complex) -> AlgebraElement:
     """The inverse of ``lam * e - a``; lam is kept DEFAULT_MERGE_TOL off the spectrum."""
-    lam = complex(lam)
-    gaps = np.abs(lam - a.coords)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] <= DEFAULT_MERGE_TOL:
-        raise SpectrumHit(
-            f"{lam} is within {DEFAULT_MERGE_TOL:g} of spectrum point "
-            f"{complex(a.coords[nearest])}"
-        )
-    return a.algebra._fresh(1.0 / (lam - a.coords))
+    lam, z = complex(lam), a.coords
+    with np.errstate(over="ignore"):
+        gaps = np.abs(lam - z)
+        nearest = int(np.argmin(gaps))
+        if gaps[nearest] <= DEFAULT_MERGE_TOL:
+            raise SpectrumHit(
+                f"{lam} is within {DEFAULT_MERGE_TOL:g} of spectrum point "
+                f"{complex(z[nearest])}"
+            )
+        inverse = 1.0 / (lam - z)
+        # as in invert, but lam - z may reach twice the float range
+        lost = inverse == 0
+        inverse[lost] = 0.25 / (0.25 * lam - 0.25 * z[lost])
+    return a.algebra._fresh(inverse)
 
 
 def spectrum(a: AlgebraElement, merge_tol: float = DEFAULT_MERGE_TOL) -> SpectrumSet:
@@ -291,8 +305,10 @@ def apply_polynomial(coefficients, a: AlgebraElement) -> AlgebraElement:
     """
     coeffs = [complex(c) for c in coefficients] or [0j]
     acc = np.full(a.algebra.dim, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * a.coords + c
+    # an overflowing step ends in NonFinite from _fresh
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(coeffs[:-1]):
+            acc = acc * a.coords + c
     return a.algebra._fresh(acc)
 
 

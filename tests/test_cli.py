@@ -292,6 +292,24 @@ def test_classify_reports_a_positivity_gap_too_large_for_a_float(pair, shown):
     assert records[-1] == {"kind": "positive_offender", "value": pair}
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_spectrum_merge_distance_too_large_for_a_float(fmt):
+    # |1.7e308+1.7e308j - 0| overflows; it is above any --tol, so no merge
+    doc = json.dumps(
+        {
+            "kind": "function_algebra",
+            "points": ["p", "q"],
+            "values": [[1.7e308, 1.7e308], [0.0, 0.0]],
+        }
+    )
+    code, text = run_cli(command="spectrum", inline=doc, tol=1.7e308, output_format=fmt)
+    assert code == 0
+    if fmt == "text":
+        assert "2 spectrum point(s)" in text
+    else:
+        assert json.loads(text)["points"] == [[0.0, 0.0], [1.7e308, 1.7e308]]
+
+
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "function_algebra", "points": ["\xe9"]}')

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,22 @@ def test_invertibility_cutoff_stays_finite_when_the_norm_overflows():
     assert invertibility_tolerance(algebra.element([big, 0.0])) == pytest.approx(2.404e298, rel=1e-3)
     assert is_invertible(algebra.element([big, 1e300]))
     assert not is_invertible(algebra.element([big, 1e297]))
+
+
+def test_reciprocal_of_a_coordinate_whose_modulus_overflows():
+    # numpy's complex 1 / z is 0 once |z| overflows, but 1 / z is a float
+    algebra = algebra_of(2)
+    z = np.array([1.7e308 + 1.7e308j, 1e300])
+    lam = -1.7e308  # lam - z overflows as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inverse = invert(algebra.element(z)).coords
+        res = resolvent(algebra.element(z), lam).coords
+    assert np.abs(inverse * z - 1.0).max() <= 1e-12
+    assert np.abs(res * (lam / 4 - z / 4) * 4 - 1.0).max() <= 1e-12
+    # a quotient that did not come back 0 keeps numpy's bits
+    assert inverse[1] == 1.0 / z[1]
+    assert res[1] == 1.0 / (lam - z[1])
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-200, 1.0, 1e200, 1e300])

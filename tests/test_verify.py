@@ -1,5 +1,8 @@
 """The law registry: its outside interface, a law's power to fail, summaries."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from cstarlab import (
     verify_equivalence,
 )
 from cstarlab.algebra import CommutativeAlgebra
-from cstarlab.ideals import Ideal
+from cstarlab.ideals import Ideal, zariski_V
 from cstarlab.verify import CheckRecord, run_suite, summarize
 
 LAW_NAMES = [
@@ -77,6 +80,46 @@ def test_zariski_detects_a_sum_that_acts_as_intersection(monkeypatch):
     assert not any(r.passed for r in records)
     # |X|=1 has two ideals; only the pairs with different zero sets differ
     assert [r.defect for r in records][0] == 2.0
+
+
+ZARISKI_MUTANTS = {
+    "intersect uses &": (Ideal, "intersect", lambda I, J: Ideal(I.algebra, I.mask & J.mask)),
+    "sum_with uses |": (Ideal, "sum_with", lambda I, J: Ideal(I.algebra, I.mask | J.mask)),
+    "zariski_V drops its last point": (verify, "zariski_V", lambda I: zariski_V(I)[:-1]),
+    # the law reads only the mask of a lattice result
+    "meet above the range": (
+        Ideal,
+        "intersect",
+        lambda I, J: SimpleNamespace(mask=I.mask | J.mask | 1 << I.algebra.dim),
+    ),
+    "join below the range": (Ideal, "sum_with", lambda I, J: SimpleNamespace(mask=~(I.mask & J.mask))),
+}
+
+
+@pytest.mark.parametrize("mutant", ZARISKI_MUTANTS)
+def test_zariski_counts_what_each_mutant_breaks(monkeypatch, mutant):
+    # unpatched, the defect is 0 (test_zariski_passes_on_the_true_lattice)
+    monkeypatch.setattr(*ZARISKI_MUTANTS[mutant])
+    records = zariski(4)
+    assert len(records) == 4
+    # every mutant differs from the lattice at every size from 1 on
+    assert all(not r.passed and r.defect > 0 for r in records)
+    if mutant in ("intersect uses &", "sum_with uses |"):
+        # & and | of two masks differ exactly when the masks do
+        assert [r.defect for r in records] == [4**s - 2**s for s in range(1, 5)]
+
+
+def test_zariski_takes_V_once_per_ideal(monkeypatch):
+    sizes = []
+
+    def counted(ideal):
+        sizes.append(ideal.algebra.dim)
+        return zariski_V(ideal)
+
+    monkeypatch.setattr(verify, "zariski_V", counted)
+    assert all(r.passed for r in zariski(6))
+    # the zero ideal, the unit ideal and each of the 2^size ideals once
+    assert Counter(sizes) == {s: 2**s + 2 for s in range(1, 7)}
 
 
 def test_summarize_keeps_first_appearance_order_and_first_witness():
