@@ -98,6 +98,12 @@ class CommutativeAlgebra:
     def zero(self) -> "AlgebraElement":
         return self._fresh(np.zeros(self.dim, dtype=complex))
 
+    def _indicator(self, i: int) -> "AlgebraElement":
+        """The element that is 1 at character ``i`` and 0 at every other."""
+        coords = np.zeros(self.dim, dtype=complex)
+        coords[i] = 1.0
+        return self._fresh(coords)
+
     def character_label(self, i: int) -> str:
         raise NotImplementedError
 

@@ -1,8 +1,9 @@
 """The contravariant functors between algebras and spaces, with verifiers.
 
 One functor sends an algebra to its character space and a homomorphism to
-the pullback map of characters; the other sends a space to its function
-algebra and a point map to precomposition.  The two natural transformations
+the pullback map of characters, read from its probe matrix in one pass; the
+other sends a space to its function algebra and a point map to
+precomposition by its index tuple.  The two natural transformations
 (evaluation into the double dual on each side) are computed by probing with
 indicator elements rather than assumed, so an indexing bug shows up as a
 failed probe instead of a silently commuting square.
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    CommutativeAlgebra,
-    FunctionAlgebra,
-    StarHomomorphism,
-)
+from .algebra import CommutativeAlgebra, FunctionAlgebra, StarHomomorphism
 from .errors import DualityViolation, NotACharacter
 from .gelfand import characters, gelfand_inverse, gelfand_transform, transform_target
 from .spaces import ContinuousMap, FiniteSpace
@@ -82,15 +78,9 @@ class EquivalenceReport:
         return all(c.passed for c in self.checks)
 
 
-def _indicator(algebra: CommutativeAlgebra, i: int) -> AlgebraElement:
-    coords = np.zeros(algebra.dim, dtype=complex)
-    coords[i] = 1.0
-    return algebra._fresh(coords)
-
-
 def functor_F_object(algebra: CommutativeAlgebra) -> FiniteSpace:
-    """The character space of an algebra as a finite space."""
-    return characters(algebra).as_finite_space()
+    """The character space of an algebra, as the points of its Gelfand target."""
+    return transform_target(algebra).space
 
 
 def functor_F_morphism(phi) -> ContinuousMap:
@@ -104,24 +94,26 @@ def functor_F_morphism(phi) -> ContinuousMap:
     """
     source_space = functor_F_object(phi.target)
     target_space = functor_F_object(phi.source)
+    # row j is the functional (character j) . phi on the indicator basis
     images = np.column_stack(
-        [phi(_indicator(phi.source, i)).coords for i in range(phi.source.dim)]
+        [phi(phi.source._indicator(i)).coords for i in range(phi.source.dim)]
     )
-    assignment = []
-    for j in range(phi.target.dim):
-        row = images[j]
-        best = int(np.argmax(np.abs(row)))
-        defect = max(
-            abs(row[best] - 1.0),
-            float(np.abs(np.delete(row, best)).max()) if len(row) > 1 else 0.0,
+    rows = np.arange(phi.target.dim)
+    modulus = np.abs(images)
+    best = modulus.argmax(axis=1)
+    hit = images[rows, best]
+    modulus[rows, best] = 0.0
+    # the gap of the hit from 1, or the largest other modulus in the row
+    defect = np.maximum(np.abs(hit - 1.0), modulus.max(axis=1))
+    failing = np.flatnonzero(defect > PROBE_TOL)
+    if failing.size:
+        j = int(failing[0])
+        raise NotACharacter(
+            f"character {j} of the target pulls back to a functional "
+            f"that is not a character (defect {defect[j]:.3e})"
         )
-        if defect > PROBE_TOL:
-            raise NotACharacter(
-                f"character {j} of the target pulls back to a functional "
-                f"that is not a character (defect {defect:.3e})"
-            )
-        assignment.append(target_space.points[best])
-    return ContinuousMap(source_space, target_space, tuple(assignment))
+    assignment = tuple(target_space.points[i] for i in best.tolist())
+    return ContinuousMap(source_space, target_space, assignment)
 
 
 def functor_G_object(space: FiniteSpace) -> FunctionAlgebra:
@@ -134,10 +126,9 @@ def functor_G_morphism(h: ContinuousMap) -> StarHomomorphism:
 
     A map h from S to T induces C(T) -> C(S) by g |-> g . h.
     """
-    source = FunctionAlgebra(h.target)
-    target = FunctionAlgebra(h.source)
-    images = tuple(h.image_index(i) for i in range(h.source.size))
-    return StarHomomorphism(source, target, images)
+    return StarHomomorphism(
+        FunctionAlgebra(h.target), FunctionAlgebra(h.source), h.images
+    )
 
 
 def tau(algebra: CommutativeAlgebra) -> StarHomomorphism:
@@ -164,7 +155,7 @@ def mu(space: FiniteSpace) -> ContinuousMap:
     double_dual = chars.as_finite_space()
     assignment = []
     for i in range(space.size):
-        probe = _indicator(algebra, i)
+        probe = algebra._indicator(i)
         hits = [
             j for j, chi in enumerate(chars) if abs(chi(probe) - 1.0) <= PROBE_TOL
         ]
@@ -191,7 +182,7 @@ def verify_naturality_tau(phi: StarHomomorphism) -> EquivalenceReport:
     A, B = phi.source, phi.target
     tau_A, tau_B = tau(A), tau(B)
     double_dual = functor_G_morphism(functor_F_morphism(phi))
-    basis = [_indicator(A, i) for i in range(A.dim)]
+    basis = [A._indicator(i) for i in range(A.dim)]
     defect = max((double_dual(tau_A(u)) - tau_B(phi(u))).norm() for u in basis)
     name = f"{A.describe()} -> {B.describe()}"
     return EquivalenceReport(name, (check("naturality_tau", name, defect),))
@@ -259,7 +250,7 @@ def _verify_algebra(algebra: CommutativeAlgebra) -> EquivalenceReport:
     # A deterministic element family: basis indicators, the unit, and a
     # generic combination with distinct coordinate values.  Each member is
     # transformed once; only products and stars need transforms of their own.
-    family = [_indicator(algebra, i) for i in range(algebra.dim)]
+    family = [algebra._indicator(i) for i in range(algebra.dim)]
     family.append(algebra.unit())
     family.append(
         algebra._fresh(np.arange(1, algebra.dim + 1) * (0.7 - 0.3j) / algebra.dim)

@@ -202,14 +202,11 @@ def factor_through_quotient(
         raise AlgebraMismatch("ideal lives in a different algebra")
     for j, img in enumerate(phi.character_images):
         if not ideal.mask >> img & 1:
-            coords = np.zeros(phi.source.dim, dtype=complex)
-            coords[img] = 1.0
-            witness = phi.source._fresh(coords)
             raise NotContained(
                 f"ideal is not inside the kernel: the indicator at character "
                 f"{phi.source.character_label(img)!r} belongs to the ideal "
                 f"but target character {j} sees it",
-                witness=witness,
+                witness=phi.source._indicator(img),
             )
     q, projection = quotient(phi.source, ideal)
     position = {z: k for k, z in enumerate(projection.character_images)}

@@ -1,7 +1,8 @@
 """Seeded random instances for the verification suite and tests.
 
 Everything takes an explicit numpy Generator so runs are reproducible from
-a single seed.
+a single seed, and the draw order is fixed: a new kind of sample gets a new
+function, not an option on an old one.
 """
 
 from __future__ import annotations
@@ -49,20 +50,14 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_normal_matrix(
-    rng: np.random.Generator,
-    n: int,
-    eigenvalues=None,
-    magnitude: float = 1.0,
-    repeats: bool = False,
+    rng: np.random.Generator, n: int, magnitude: float = 1.0, repeats: bool = False
 ) -> np.ndarray:
-    """A random normal matrix with known (possibly repeated) eigenvalues."""
-    if eigenvalues is None:
-        if repeats and n > 1:
-            distinct = random_complex(rng, int(rng.integers(1, n)), magnitude)
-            eigenvalues = distinct[rng.integers(0, len(distinct), n)]
-        else:
-            eigenvalues = random_complex(rng, n, magnitude)
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    """A random normal matrix; with ``repeats`` some eigenvalues coincide."""
+    if repeats and n > 1:
+        distinct = random_complex(rng, int(rng.integers(1, n)), magnitude)
+        eigenvalues = distinct[rng.integers(0, len(distinct), n)]
+    else:
+        eigenvalues = random_complex(rng, n, magnitude)
     U = random_unitary(rng, n)
     return (U * eigenvalues) @ U.conj().T
 
@@ -112,12 +107,9 @@ def random_pullback_hom(
 
 
 def random_invertible_element(
-    rng: np.random.Generator,
-    algebra: CommutativeAlgebra,
-    min_modulus: float = 0.3,
-    max_modulus: float = 2.0,
+    rng: np.random.Generator, algebra: CommutativeAlgebra
 ) -> AlgebraElement:
-    """Random element with all character values bounded away from zero."""
-    radii = rng.uniform(min_modulus, max_modulus, algebra.dim)
+    """Random element whose character values have moduli in [0.3, 2.0)."""
+    radii = rng.uniform(0.3, 2.0, algebra.dim)
     angles = rng.uniform(0.0, 2.0 * np.pi, algebra.dim)
     return algebra._fresh(radii * np.exp(1j * angles))

@@ -2,7 +2,8 @@
 
 At this scale every compact Hausdorff space is a finite set of labelled
 points with the discrete topology, every subset is closed, and every map
-is continuous.  The classes here are plain immutable values.
+is continuous.  The classes here are plain immutable values; a map's
+target indices are also the character map of its pullback of functions.
 """
 
 from __future__ import annotations
@@ -49,15 +50,16 @@ class FiniteSpace:
 class ContinuousMap:
     """A total map between finite spaces, stored as one image label per point.
 
-    ``assignment[i]`` is the image of ``source.points[i]``.  Continuity is
-    automatic for discrete spaces, so validation only checks totality and
-    that every image is an actual point of the target.
+    ``assignment[i]`` is the image of ``source.points[i]``, and ``images[i]``
+    its index in the target.  Continuity is automatic for discrete spaces,
+    so validation only checks totality and that every image is a point of
+    the target.
     """
 
     source: FiniteSpace
     target: FiniteSpace
     assignment: tuple[str, ...]
-    _image_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    images: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assignment = tuple(self.assignment)
@@ -71,7 +73,7 @@ class ContinuousMap:
         if missing:
             raise InvalidPointMap(f"image labels {missing!r} are not in the target")
         idx = tuple(self.target.index(lab) for lab in assignment)
-        object.__setattr__(self, "_image_indices", idx)
+        object.__setattr__(self, "images", idx)
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "ContinuousMap":
@@ -80,10 +82,6 @@ class ContinuousMap:
     def __call__(self, label: str) -> str:
         return self.assignment[self.source.index(label)]
 
-    def image_index(self, i: int) -> int:
-        """Index in the target of the image of source point ``i``."""
-        return self._image_indices[i]
-
     def then(self, other: "ContinuousMap") -> "ContinuousMap":
         """Composite ``other . self`` (apply self first)."""
         if other.source != self.target:
@@ -91,7 +89,7 @@ class ContinuousMap:
         return ContinuousMap(
             self.source,
             other.target,
-            tuple(other.assignment[j] for j in self._image_indices),
+            tuple(other.assignment[j] for j in self.images),
         )
 
     def is_bijection(self) -> bool:

@@ -102,5 +102,6 @@ def hausdorff_distance(a, b) -> float:
     pb = np.asarray(list(b), dtype=complex)
     if pa.size == 0 or pb.size == 0:
         raise ValueError("Hausdorff distance needs nonempty sets")
-    gaps = np.abs(pa[:, None] - pb[None, :])
+    with np.errstate(over="ignore"):  # points farther apart than floats reach
+        gaps = np.abs(pa[:, None] - pb[None, :])
     return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))

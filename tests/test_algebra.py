@@ -31,6 +31,7 @@ from cstarlab import (
     neumann_inverse,
     restriction_homomorphism,
 )
+from cstarlab.sampling import random_unitary
 
 values = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
 
@@ -499,6 +500,31 @@ def test_materialize_commutes_with_operations():
         assert np.linalg.norm(algebra.materialize(a * b) - Ma @ Mb) <= 1e-9
         assert np.linalg.norm(algebra.materialize(a + b) - (Ma + Mb)) <= 1e-9
         assert np.linalg.norm(algebra.materialize(a.star()) - Ma.conj().T) <= 1e-9
+
+
+@pytest.mark.parametrize("repeats", [False, True])
+def test_materialized_generator_element_is_the_generator(repeats):
+    # U diag(f(lambda)) U* must give back N itself.  U* D U is also a
+    # *-homomorphism with the same norms, so only this comparison sees it;
+    # for a scalar N the two coincide, so every draw has k >= 2 distinct
+    # eigenvalues.  The eigenvectors of the Hermitian part are accurate to
+    # eps |N| / delta, delta the smallest gap between the real parts of two
+    # distinct eigenvalues, so the bound grows once delta < |N|.
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        k = int(rng.integers(2, n + 1)) if repeats else n
+        distinct = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
+        eigs = distinct[np.concatenate([np.arange(k), rng.integers(0, k, n - k)])]
+        U = random_unitary(rng, n)
+        N = (U * eigs) @ U.conj().T
+        algebra = make_normal_generator_algebra(N)
+        assert algebra.dim == k
+        norm = np.linalg.norm(N, 2)
+        delta = np.diff(np.sort(distinct.real)).min()
+        gap = np.linalg.norm(algebra.materialize(algebra.generator_element()) - N, 2)
+        assert gap <= 100 * n * eps * norm * max(1.0, norm / delta)
 
 
 def test_project_matrix_round_trips():

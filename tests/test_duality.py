@@ -110,9 +110,54 @@ def test_F_rejects_non_characters():
         functor_F_morphism(Mangler())
 
 
+class ProbeMatrix:
+    """A duck-typed map whose probe matrix (row j: target character j, column
+    i: image of the i-th source indicator) is given outright."""
+
+    def __init__(self, rows):
+        self.probe = np.asarray(rows, dtype=complex)
+        self.target, self.source = (
+            make_function_algebra(space_of(d).points) for d in self.probe.shape
+        )
+
+    def __call__(self, element):
+        return self.target.element(self.probe @ element.coords)
+
+
+@pytest.mark.parametrize(
+    "rows, failing, defect",
+    [
+        ([[1, 0], [0.5, 0.5]], 1, "5.000e-01"),  # hit 0.5, another modulus 0.5
+        ([[1], [0.5]], 1, "5.000e-01"),  # one source character: only the hit
+        ([[1, 1e-3], [0.5, 0.5]], 0, "1.000e-03"),  # of two failing rows, the first
+    ],
+)
+def test_F_names_the_first_row_that_is_no_character(rows, failing, defect):
+    with pytest.raises(NotACharacter) as info:
+        functor_F_morphism(ProbeMatrix(rows))
+    assert str(info.value) == (
+        f"character {failing} of the target pulls back to a functional "
+        f"that is not a character (defect {defect})"
+    )
+
+
+def test_F_of_a_map_out_of_one_point_algebra_is_constant():
+    phi = ProbeMatrix([[1], [1], [1]])
+    assert functor_F_morphism(phi) == ContinuousMap(
+        functor_F_object(phi.target), functor_F_object(phi.source), ("0",) * 3
+    )
+
+
 def test_G_of_identity_is_identity_homomorphism():
     X = space_of(3)
     assert functor_G_morphism(ContinuousMap.identity(X)).character_images == (0, 1, 2)
+
+
+def test_G_passes_the_point_map_index_tuple_to_the_pullback():
+    f = ContinuousMap(space_of(2, "p"), space_of(3, "q"), ("q2", "q0"))
+    assert f.images == (2, 0)
+    assert functor_G_morphism(f).character_images == f.images
+    assert repr(f) == "ContinuousMap(p0->q2, p1->q0)"
 
 
 def test_G_reverses_arrows_by_pullback():

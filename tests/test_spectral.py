@@ -190,6 +190,13 @@ def test_hausdorff_distance_known_values():
     assert hausdorff_distance([0.0], [3 + 4j]) == 5.0
 
 
+def test_hausdorff_distance_beyond_the_float_range_is_inf_without_warning():
+    a = algebra_of(2).element([1.7e308 + 1.7e308j, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectrum(a).hausdorff(spectrum(a.star())) == math.inf
+
+
 def test_spectrum_of_function_element():
     f = algebra_of(4).element([1, 2j, 2j, -1])
     sigma = spectrum(f)
@@ -677,6 +684,15 @@ def test_classify_indicator_is_projection_and_positive():
         "projection": True,
         "positive": True,
     }
+
+
+def test_projection_verdict_needs_the_self_adjoint_term():
+    # |z^2 - z| is about 1.005e-5, inside the tolerance, but |z - z*| = 2e-5
+    # is not: without its self-adjoint term the verdict would be "projection"
+    a = algebra_of(2).element([1e-6 + 1e-5j, 1.0])
+    report = classify_element(a, tol=1.5e-5)
+    assert not report.flags["projection"]
+    assert report.witness_tolerances["projection"] == 2e-5
 
 
 def test_classify_phase_element_is_unitary_only():
