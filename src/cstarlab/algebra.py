@@ -427,14 +427,8 @@ class StarHomomorphism:
         )
 
 
-def make_function_algebra(space: FiniteSpace) -> FunctionAlgebra:
-    """The algebra of all complex functions on a nonempty finite space."""
-    return FunctionAlgebra(space)
-
-
-def make_normal_generator_algebra(matrix) -> NormalGeneratorAlgebra:
-    """The commutative algebra generated by one normal matrix."""
-    return NormalGeneratorAlgebra(matrix)
+make_function_algebra = FunctionAlgebra
+make_normal_generator_algebra = NormalGeneratorAlgebra
 
 
 def make_star_homomorphism(

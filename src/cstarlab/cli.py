@@ -57,13 +57,6 @@ def _fmt_all(values) -> str:
     return ", ".join(_fmt(v) for v in values)
 
 
-def _finite(value: float, what: str) -> float:
-    """``value`` unchanged, or NonFinite if it overflowed to inf or NaN."""
-    if not math.isfinite(value):
-        raise NonFinite(f"{what} is not finite")
-    return value
-
-
 def _fail(message: str) -> int:
     """Report bad input or configuration on stderr; the exit code is 2."""
     print(message, file=sys.stderr)
@@ -101,9 +94,9 @@ def run(config: RunConfig, out=None) -> int:
         return _cmd_verify(config, out)
 
     # an overflow while building the algebra or an element raises a
-    # CstarError (NonFinite, NotNormal, DecompositionFailure), and the
-    # quotient norm computed outside it is checked by _finite, so numpy's
-    # floating-point warnings would only repeat that message
+    # CstarError (NonFinite, NotNormal, DecompositionFailure), and
+    # _cmd_quotient checks the quotient norm it computes outside them, so
+    # numpy's floating-point warnings would only repeat that message
     with np.errstate(all="ignore"):
         try:
             try:
@@ -205,7 +198,9 @@ def _cmd_quotient(config: RunConfig, element, out) -> int:
     ideal = ideal_from_closed_set(algebra, config.zero_set)
     q, projection = quotient(algebra, ideal)
     image = projection(element)
-    norm = _finite(q.quotient_norm(element), "quotient norm")
+    norm = q.quotient_norm(element)
+    if not math.isfinite(norm):
+        raise NonFinite("quotient norm is not finite")
     if config.output_format == "structured":
         _emit(
             out,

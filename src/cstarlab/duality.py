@@ -116,9 +116,8 @@ def functor_F_morphism(phi) -> ContinuousMap:
     return ContinuousMap(source_space, target_space, assignment)
 
 
-def functor_G_object(space: FiniteSpace) -> FunctionAlgebra:
-    """The function algebra over a finite space."""
-    return FunctionAlgebra(space)
+# G on objects sends a space to its function algebra: the constructor itself
+functor_G_object = FunctionAlgebra
 
 
 def functor_G_morphism(h: ContinuousMap) -> StarHomomorphism:

@@ -62,12 +62,6 @@ def random_normal_matrix(
     return (U * eigenvalues) @ U.conj().T
 
 
-def random_function_algebra(
-    rng: np.random.Generator, max_size: int = 6
-) -> FunctionAlgebra:
-    return FunctionAlgebra(random_space(rng, max_size=max_size))
-
-
 def random_normal_generator_algebra(
     rng: np.random.Generator,
     max_n: int = 6,
@@ -84,7 +78,7 @@ def random_algebra(
     rng: np.random.Generator, max_size: int = 6
 ) -> CommutativeAlgebra:
     if rng.integers(0, 2) == 0:
-        return random_function_algebra(rng, max_size)
+        return FunctionAlgebra(random_space(rng, max_size=max_size))
     return random_normal_generator_algebra(rng, max_n=max_size)
 
 

@@ -229,7 +229,7 @@ def spectral_radius_exact(a: AlgebraElement) -> float:
     The characters exhaust the spectrum in these models, so this is the
     largest character-value modulus, prior to any deduplication.
     """
-    return float(np.abs(a.coords).max())
+    return a.norm()
 
 
 def _squaring_roots(x, square, size):

@@ -145,11 +145,7 @@ def law_norm_laws(rng, tol, max_size, i):
 def law_geometric_series(rng, tol, max_size, i):
     algebra = random_algebra(rng, max_size)
     a = random_element(rng, algebra)
-    norm_now = a.norm()
-    if norm_now == 0.0:
-        a = 0.5 * algebra.unit()
-        norm_now = 0.5
-    a = (float(rng.uniform(0.05, 0.9)) / norm_now) * a
+    a = (float(rng.uniform(0.05, 0.9)) / a.norm()) * a
     s, report = neumann_inverse(a, tol=1e-10, max_terms=4000)
     name = f"{algebra.describe()} #{i}"
     excess = max(0.0, report.residual - report.a_priori_bound)
@@ -162,11 +158,11 @@ def law_geometric_series(rng, tol, max_size, i):
 def law_perturbation(rng, tol, max_size, i):
     algebra = random_algebra(rng, max_size)
     a = random_invertible_element(rng, algebra)
-    inv_norm = invert(a).norm()
+    a_inv = invert(a)
+    inv_norm = a_inv.norm()
     radius = 1.0 / (2.0 * inv_norm)
     delta = random_element(rng, algebra)
-    if delta.norm() > 0:
-        delta = (float(rng.uniform(0.1, 0.9)) * radius / delta.norm()) * delta
+    delta = (float(rng.uniform(0.1, 0.9)) * radius / delta.norm()) * delta
     b = a + delta
     name = f"{algebra.describe()} #{i}"
     yield check("inversion_open", name, 0.0 if is_invertible(b) else 1.0, 0.0)
@@ -176,18 +172,15 @@ def law_perturbation(rng, tol, max_size, i):
     eps = float(rng.uniform(0.01, 0.5))
     modulus = inversion_delta(inv_norm, eps)
     bump = random_element(rng, algebra)
-    if bump.norm() > 0:
-        bump = (0.95 * modulus / bump.norm()) * bump
+    bump = (0.95 * modulus / bump.norm()) * bump
     c = a + bump
-    yield check("inversion_continuity", name, (invert(c) - invert(a)).norm(), eps)
+    yield check("inversion_continuity", name, (invert(c) - a_inv).norm(), eps)
 
 
 @_law("resolvent_series", _fixed(10))
 def law_resolvent_series(rng, tol, max_size, i):
     algebra = random_algebra(rng, max_size)
     a = random_element(rng, algebra)
-    if a.norm() == 0.0:
-        a = 0.4 * algebra.unit()
     lam = 2.0 * a.norm() * np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
     direct = resolvent(a, lam)
     series_core, _ = neumann_inverse((1.0 / lam) * a, tol=1e-13, max_terms=4000)
@@ -343,7 +336,7 @@ def law_ideal_correspondence(rng, tol, max_size, _i):
         yield check("quotient_cstar", name, cstar, 1e-12 * (1.0 + image.norm() ** 2))
         defect = 0.0 if kernel_ideal(pi).zero_set == ideal.zero_set else 1.0
         yield check("projection_kernel", name, defect, 0.0)
-        for m in max_ideals(algebra)[: min(3, algebra.dim)]:
+        for m in max_ideals(algebra)[:3]:
             qm, _ = quotient(algebra, m)
             at = f"{name} at {m.point}"
             yield check("maximal_quotient_is_scalar", at, float(abs(qm.dim - 1)), 0.0)

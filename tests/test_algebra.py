@@ -31,6 +31,7 @@ from cstarlab import (
     neumann_inverse,
     restriction_homomorphism,
 )
+from cstarlab.errors import _unscale
 from cstarlab.sampling import random_unitary
 
 values = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
@@ -297,6 +298,12 @@ def test_not_normal_message_stays_finite():
     assert "inf" not in message
     assert "commutator norm 1.414e+400 exceeds bound 3.000e+390" in message
     assert "4.71e+09 times the bound" in message
+
+
+def test_unscaled_text_carries_a_mantissa_that_rounds_up_to_ten():
+    # 73.62122380415825 * 2^1100 is 9.99997...e+332, whose mantissa rounds
+    # to 10.000 at three decimals; the text moves it into the exponent
+    assert _unscale(73.62122380415825, 1100) == (np.inf, "1.000e+333")
 
 
 def test_generators_near_the_float_limit_keep_their_spectra():

@@ -215,6 +215,12 @@ def test_overflow_and_nan_exit_2_with_one_line(argv):
     assert proc.stderr.count("\n") == 1
 
 
+def test_overflowing_quotient_norm_is_named(capsys):
+    code, out = run_cli(command="quotient", inline=HUGE_MODULUS, zero_set=("p",))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "invalid input: quotient norm is not finite\n"
+
+
 def scaled_generator_document(c: float) -> str:
     """c Q diag(1, 1, 2, 2, 3, 3i) Q* for a seeded unitary Q."""
     rng = np.random.default_rng(0)

@@ -233,6 +233,24 @@ def test_equivalence_reports_degenerate_character_enumeration(monkeypatch):
     assert [c.law for c in report.checks if not c.passed] == ["mu_bijection"]
 
 
+def test_mu_rejects_an_assignment_that_is_not_a_bijection(monkeypatch):
+    # f sends both indicators to 1 and g sends both to 0, so each point has
+    # exactly one hit, f, and the assignment is not injective; real
+    # characters cannot do this, so only a stand-in reaches the guard
+    X = FiniteSpace(("p", "q"))
+
+    def stand_in(algebra):
+        f_and_g = (lambda a: complex(a.coords.sum()), lambda a: 0j)
+        return gelfand.CharacterSpace(algebra=algebra, members=f_and_g)
+
+    monkeypatch.setattr(duality, "characters", stand_in)
+    with pytest.raises(DualityViolation, match="^point-to-character map is not a bijection$"):
+        duality.mu(X)
+    report = verify_equivalence(X)
+    assert report.max_defect == 1.0
+    assert [c.law for c in report.checks if not c.passed] == ["mu_bijection"]
+
+
 def test_space_verifier_computes_mu_once(monkeypatch):
     calls = []
 

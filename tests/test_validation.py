@@ -1,0 +1,152 @@
+"""Argument checks that reject bad calls, one row per check.
+
+Each row is a call, the exception it must raise and a regular expression
+its message must contain.  A = C({a,b,c}), B = C({x,y}) and phi pulls the
+characters of B back to characters 0 and 2 of A.
+"""
+
+import numpy as np
+import pytest
+
+from cstarlab import (
+    AlgebraMismatch,
+    Character,
+    ContinuousMap,
+    DomainError,
+    FiniteSpace,
+    FunctionAlgebra,
+    InvalidPointMap,
+    InvalidSpace,
+    InvalidSubset,
+    StarHomomorphism,
+    apply_function,
+    factor_through_quotient,
+    hausdorff_distance,
+    ideal_from_closed_set,
+    inversion_delta,
+    make_normal_generator_algebra,
+    operator_norm,
+    quotient,
+    restriction_homomorphism,
+    spectral_radius_limit,
+    verify_equivalence,
+)
+
+A = FunctionAlgebra(FiniteSpace(("a", "b", "c")))
+B = FunctionAlgebra(FiniteSpace(("x", "y")))
+PHI = StarHomomorphism(A, B, (0, 2))
+X = FiniteSpace(("p", "q"))
+Y = FiniteSpace(("r",))
+F = ContinuousMap(X, Y, ("r", "r"))
+N = make_normal_generator_algebra(np.diag([1.0, 2.0]))
+
+
+def _raise_own_error(z):
+    raise DomainError("mine")
+
+
+ROWS = {
+    # algebra, characters and spaces
+    "character-index": (
+        lambda: Character(A, 3), ValueError, "character index 3 out of range"
+    ),
+    "character-key-index": (
+        lambda: A.resolve_character_key(3), InvalidSubset, "character index 3 out of range"
+    ),
+    "space-label-type": (
+        lambda: FiniteSpace(("a", 1)), InvalidSpace, "point labels must be strings"
+    ),
+    "space-unknown-label": (
+        lambda: FiniteSpace(("a",)).index("z"), InvalidSpace, "label 'z' is not a point"
+    ),
+    "map-middle-space": (
+        lambda: F.then(F), InvalidPointMap, "composition needs matching middle space"
+    ),
+    "element-plus-int": (
+        lambda: A.unit() + 1, TypeError, "expected an algebra element"
+    ),
+    "generator-not-square": (
+        lambda: make_normal_generator_algebra(np.ones((2, 3))),
+        ValueError,
+        "generator must be a square matrix",
+    ),
+    "project-wrong-shape": (
+        lambda: N.project_matrix(np.eye(3)), ValueError, "matrix has the wrong shape"
+    ),
+    "restriction-repeated-label": (
+        lambda: restriction_homomorphism(A, ("a", "a")),
+        InvalidPointMap,
+        "restriction labels must be distinct",
+    ),
+    # homomorphisms
+    "hom-image-count": (
+        lambda: StarHomomorphism(A, B, (0,)),
+        InvalidPointMap,
+        "need 2 character images, got 1",
+    ),
+    "hom-foreign-element": (
+        lambda: PHI(B.unit()), AlgebraMismatch, "does not belong to the source algebra"
+    ),
+    "hom-middle-algebra": (
+        lambda: PHI.then(PHI), AlgebraMismatch, "composition needs matching middle algebra"
+    ),
+    # ideals and quotients
+    "ideal-foreign-element": (
+        lambda: ideal_from_closed_set(A, ("a",)).contains(B.unit()),
+        AlgebraMismatch,
+        "element belongs to a different algebra",
+    ),
+    "ideal-foreign-intersect": (
+        lambda: ideal_from_closed_set(A, ("a",)).intersect(ideal_from_closed_set(B, ("x",))),
+        AlgebraMismatch,
+        "ideals live in different algebras",
+    ),
+    "quotient-norm-foreign-element": (
+        lambda: quotient(A, ideal_from_closed_set(A, ("a",)))[0].quotient_norm(B.unit()),
+        AlgebraMismatch,
+        "element belongs to a different algebra",
+    ),
+    "quotient-foreign-ideal": (
+        lambda: quotient(B, ideal_from_closed_set(A, ("a",))),
+        AlgebraMismatch,
+        "ideal lives in a different algebra",
+    ),
+    "factor-foreign-ideal": (
+        lambda: factor_through_quotient(PHI, ideal_from_closed_set(B, ("x",))),
+        AlgebraMismatch,
+        "ideal lives in a different algebra",
+    ),
+    # spectral and duality
+    "hausdorff-empty": (
+        lambda: hausdorff_distance([], [1]), ValueError, "needs nonempty sets"
+    ),
+    "opnorm-not-square": (
+        lambda: operator_norm(np.ones((2, 3))), ValueError, "expects a square matrix"
+    ),
+    "radius-negative-steps": (
+        lambda: spectral_radius_limit(A.unit(), n_max=-1),
+        ValueError,
+        "n_max must be nonnegative",
+    ),
+    "inversion-delta-zero-norm": (
+        lambda: inversion_delta(0.0, 0.1), ValueError, "need positive inverse norm and eps"
+    ),
+    "verify-unknown-subject": (
+        lambda: verify_equivalence(42), TypeError, "cannot verify 42"
+    ),
+    # the function's own DomainError is not wrapped in a second one
+    "apply-function-own-domain-error": (
+        lambda: apply_function(_raise_own_error, A.unit()), DomainError, "^mine$"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, exception, message", ROWS.values(), ids=ROWS.keys())
+def test_bad_call_raises(call, exception, message):
+    with pytest.raises(exception, match=message):
+        call()
+
+
+def test_calls_at_the_edge_of_validation_succeed():
+    assert F("q") == "r"
+    assert ideal_from_closed_set(A, ()).contains(A.unit())
