@@ -7,10 +7,13 @@ assumed; the closed-form coordinatewise answers exist too, but they are
 kept in the test suite as independent oracles.
 
 Each loop is written once.  ``_geometric_sum`` sums the Neumann series for
-``neumann_inverse`` and ``perturbation_inverse``; ``_squaring_roots`` yields
-Gelfand's norm(x^(2^k))^(1/2^k) for ``spectral_radius_limit`` and
-``operator_norm``.  ``classify_element`` takes its four defects on the one
-coordinate array, where a defect too large for a float reads inf.
+``neumann_inverse`` and ``perturbation_inverse``; it still measures the
+residual of every partial sum, but a block of partial sums at a time, and
+the length of each block follows the decay measured so far.
+``_squaring_roots`` yields Gelfand's norm(x^(2^k))^(1/2^k) for
+``spectral_radius_limit`` and ``operator_norm``.  ``classify_element``
+takes its four defects on the one coordinate array, where a defect too
+large for a float reads inf.
 """
 
 from __future__ import annotations
@@ -103,35 +106,72 @@ def invertibility_tolerance(a: AlgebraElement) -> float:
     return 1e-10 * norm
 
 
+# most entries (rows x dim) in one block of partial sums, 128 KiB: it bounds
+# the memory, and at dim 512 blocks of 2^14 entries measured slower
+_BLOCK_ENTRIES = 1 << 13
+
+
 def _geometric_sum(first, step, target, tol, max_terms, tail_bound):
     """Sum first, step(first), step(step(first)), ... as an inverse of target
     (see neumann_inverse) on coordinate arrays; only the sum is wrapped.
     ``step`` maps coordinates to coordinates and is a callable, not a ratio:
     numpy's complex x * y and y * x can differ in the last bit, so each caller
-    keeps its own operand order."""
-    total, term = first.coords.copy(), first.coords
-    terms = 1
-    # an overflowing term or residual ends in NonFinite (see _residual)
+    keeps its own operand order.
+
+    The residual of every partial sum is measured, a block at a time: the
+    partial sums fill the rows of a block, their residuals are taken in
+    three array passes, and the rows are read in order, so the first one
+    within ``tol`` stops the sum.  The first block has 2 rows; each later
+    one has the rows that the decay of the last two residuals needs to
+    reach ``tol`` (8 while that decay is unknown), and no more than
+    ``max_terms`` allows or ``_BLOCK_ENTRIES`` entries.  Rows past the stop
+    are computed but never read."""
+    dim = first.coords.size
+    total, term = first.coords, first.coords
+    done, rows = 0, 2
+    previous = last = math.nan
+    # an overflowing term or residual ends in NonFinite, as in _fresh; an
+    # overflowing modulus alone reads inf
     with np.errstate(over="ignore", invalid="ignore"):
-        while (residual := _residual(target.coords * total - 1.0)) > tol:
-            if terms >= max_terms:
-                raise Unconverged(
-                    f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
-                    partial=first.algebra._fresh(total),
-                    report=NeumannReport(terms, residual, tail_bound(terms)),
-                )
-            term = step(term)
-            total += term
-            terms += 1
-    return first.algebra._fresh(total), NeumannReport(terms, residual, tail_bound(terms))
-
-
-def _residual(r: np.ndarray) -> float:
-    """sup|r|; NonFinite as _fresh, but an overflowing modulus reads inf."""
-    residual = float(np.abs(r).max())
-    if not math.isfinite(residual) and not np.isfinite(r).all():
-        raise NonFinite("coordinates must be finite")
-    return residual
+        while True:
+            # max_terms may be a float: it is only compared with a term count
+            rows = max(1, int(min(rows, max_terms - done, _BLOCK_ENTRIES // dim)))
+            sums = np.empty((rows, dim), dtype=complex)
+            for j, row in enumerate(sums):
+                if done or j:
+                    term = step(term)
+                    np.add(total, term, out=row)
+                else:
+                    row[:] = total
+                total = row
+            # numpy multiplies a lone coordinate broadcast down a column with
+            # another kernel, whose last bit can differ; give it a full column
+            targets = target.coords if dim > 1 else np.full(sums.shape, target.coords)
+            r = targets * sums
+            r -= 1.0
+            residuals = np.abs(r).max(axis=1).tolist()
+            for j, residual in enumerate(residuals):
+                terms = done + j + 1
+                if not math.isfinite(residual) and not np.isfinite(r[j]).all():
+                    raise NonFinite("coordinates must be finite")
+                if not residual > tol:
+                    return first.algebra._fresh(sums[j].copy()), NeumannReport(
+                        terms, residual, tail_bound(terms)
+                    )
+                if terms >= max_terms:
+                    raise Unconverged(
+                        f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
+                        partial=first.algebra._fresh(sums[j].copy()),
+                        report=NeumannReport(terms, residual, tail_bound(terms)),
+                    )
+            del r  # one block of residuals alive at a time, not two
+            done += rows
+            previous, last = ([previous, last] + residuals)[-2:]
+            rows = 8
+            if tol > 0.0 and 0.0 < last < previous:
+                rate = last / previous
+                if 0.0 < rate < 1.0:
+                    rows = math.ceil((math.log(tol) - math.log(last)) / math.log(rate))
 
 
 def neumann_inverse(
@@ -159,18 +199,27 @@ def perturbation_inverse(
 
     Sums ``(a_inv * (a - b))^n * a_inv``, which converges whenever
     ``norm(a - b) < 1 / norm(a_inv)``; outside that ball the call raises
-    :class:`PerturbationTooLarge` rather than returning a doubtful sum.
+    :class:`PerturbationTooLarge` rather than returning a doubtful sum.  An
+    :class:`Unconverged` report bounds the tail after n terms by
+    ``norm(r)^n * norm(a_inv) / (1 - norm(r))``, r = a_inv * (a - b).
     """
     a_inv = invert(a)
     diff = a - b
-    gap, radius = diff.norm(), 1.0 / a_inv.norm()
+    inv_norm = a_inv.norm()
+    gap, radius = diff.norm(), 1.0 / inv_norm
     if gap >= radius:
         raise PerturbationTooLarge(
             f"norm(a - b) = {gap:.6g} is not below 1/norm(a_inv) = {radius:.6g}"
         )
     ratio = a_inv * diff
+
+    def tail_bound(n):
+        # gap < radius gives norm(ratio) < 1, up to rounding
+        q = ratio.norm()
+        return q**n * inv_norm / (1.0 - q) if q < 1.0 else math.inf
+
     return _geometric_sum(
-        a_inv, lambda t: ratio.coords * t, b, tol, max_terms, lambda n: math.nan
+        a_inv, lambda t: ratio.coords * t, b, tol, max_terms, tail_bound
     )[0]
 
 

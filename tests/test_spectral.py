@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cstarlab import (
     DomainError,
+    NeumannReport,
     NonFinite,
     NormTooLarge,
     NotInvertible,
@@ -302,7 +304,8 @@ def test_perturbation_unconverged_carries_partial_sum():
         perturbation_inverse(a, b, max_terms=3)
     err = info.value
     assert err.report.terms_used == 3
-    assert math.isnan(err.report.a_priori_bound)
+    # norm(a_inv) = 0.5 and norm(a_inv * (a - b)) = 0.25
+    assert err.report.a_priori_bound == 0.25**3 * 0.5 / (1.0 - 0.25)
     # a_inv = (0.5, 0.25) and a_inv * (a - b) = (0.25, 0), so the three
     # terms sum to 0.5 * (1 + 0.25 + 0.0625) and 0.25; all are exact
     assert list(err.partial.coords) == [0.65625, 0.25]
@@ -318,15 +321,20 @@ def test_perturbation_requires_small_gap():
 
 
 def test_series_overflow_raises_non_finite():
-    # the terms 1, 1e300, 1e600: the third overflows to inf
     e = algebra_of(2).unit()
-    with pytest.raises(NonFinite):
-        _geometric_sum(e, lambda t: t * 1e300, 2 * e, 1e-10, 100, lambda n: math.nan)
-    # finite terms, but target * sum overflows to inf - inf = nan, which must
-    # not read as a residual within tolerance
-    big = (1e300 + 1e300j) * e
-    with pytest.raises(NonFinite):
-        _geometric_sum(1e10 * e, lambda t: 0 * t, big, 1e-10, 100, lambda n: math.nan)
+    cases = [
+        # the terms 1, 1e300, 1e600: the third overflows to inf
+        (e, lambda t: t * 1e300, 2 * e),
+        # finite terms, but target * sum overflows to inf - inf = nan, which
+        # must not read as a residual within tolerance
+        (1e10 * e, lambda t: 0 * t, (1e300 + 1e300j) * e),
+        # the terms 10^k pass through many blocks before they overflow
+        (e, lambda t: t * 10.0, 2 * e),
+    ]
+    for first, step, target in cases:
+        for series in (_reference_geometric_sum, _geometric_sum):
+            with pytest.raises(NonFinite):
+                series(first, step, target, 1e-10, 4000, lambda n: math.nan)
 
 
 def test_series_with_overflowing_residual_modulus_is_unconverged():
@@ -395,6 +403,132 @@ def test_neumann_wraps_a_constant_number_of_elements(monkeypatch):
         counts[norm] = (calls, report.terms_used)
     assert counts[0.7][1] >= 60 > counts[0.1][1]
     assert counts[0.7][0] == counts[0.1][0] <= 4
+
+
+def test_perturbation_unconverged_bound_covers_the_partial_sum():
+    rng = np.random.default_rng(31)
+    algebra = algebra_of(8)
+    a = algebra.element(rng.uniform(1.0, 2.0, 8) * np.exp(1j * rng.uniform(0, 6, 8)))
+    delta = random_element(algebra, rng)
+    b = a + (0.8 / (invert(a).norm() * delta.norm())) * delta
+    for max_terms in (1, 2, 3):
+        with pytest.raises(Unconverged) as info:
+            perturbation_inverse(a, b, tol=1e-15, max_terms=max_terms)
+        err = info.value
+        assert err.report.terms_used == max_terms
+        bound = err.report.a_priori_bound
+        assert 0.0 < bound < math.inf
+        assert (err.partial - invert(b)).norm() <= bound * (1.0 + 1e-12)
+
+
+def _reference_geometric_sum(first, step, target, tol, max_terms, tail_bound):
+    # the term-by-term loop that _geometric_sum replaced: one residual per term
+    def residual_of(r):
+        residual = float(np.abs(r).max())
+        if not math.isfinite(residual) and not np.isfinite(r).all():
+            raise NonFinite("coordinates must be finite")
+        return residual
+
+    total, term = first.coords.copy(), first.coords
+    terms = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (residual := residual_of(target.coords * total - 1.0)) > tol:
+            if terms >= max_terms:
+                raise Unconverged(
+                    f"residual {residual:.3e} after {terms} terms (tol {tol:.3e})",
+                    partial=first.algebra._fresh(total),
+                    report=NeumannReport(terms, residual, tail_bound(terms)),
+                )
+            term = step(term)
+            total += term
+            terms += 1
+    report = NeumannReport(terms, residual, tail_bound(terms))
+    return first.algebra._fresh(total), report
+
+
+def _outcome(series, *args):
+    """What a series loop gives: coordinate bytes and report, or what it raised."""
+    try:
+        s, report = series(*args)
+    except Unconverged as err:
+        return "Unconverged", err.partial.coords.tobytes(), err.report, str(err)
+    return "returned", s.coords.tobytes(), report
+
+
+def _series_cases(dim, norm, rng):
+    """(first, step, target, tail_bound) as neumann_inverse and as
+    perturbation_inverse build them, with a ratio of the given norm."""
+    algebra = algebra_of(dim)
+    z = rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)
+    ratio = algebra.element(z * (norm / np.abs(z).max()))
+    bound = lambda n: norm**n / (1.0 - norm)  # noqa: E731
+    e = algebra.unit()
+    yield e, lambda t: t * ratio.coords, e - ratio, bound
+    a = algebra.element(rng.uniform(1, 2, dim) * np.exp(1j * rng.uniform(0, 6, dim)))
+    a_inv = invert(a)
+    yield a_inv, lambda t: ratio.coords * t, a - a * ratio, bound
+
+
+def test_block_geometric_sum_matches_the_term_by_term_loop():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for dim in (1, 2, 12, 64, 512):
+        for norm in (0.0, 0.05, 0.7, 0.95):
+            for first, step, target, bound in _series_cases(dim, norm, rng):
+                for tol in (1e-10, 1e-13, 1e-15):
+                    args = (first, step, target, tol)
+                    full = _outcome(_reference_geometric_sum, *args, 4000, bound)
+                    stop = full[2].terms_used
+                    # a float max_terms is compared, never used as a count
+                    for n in sorted({1, 2, 2.5, 3, stop - 1, stop, 4000}):
+                        expected = _outcome(_reference_geometric_sum, *args, n, bound)
+                        got = _outcome(_geometric_sum, *args, n, bound)
+                        assert got == expected, (dim, norm, tol, n)
+                        checked += got[0] == "Unconverged"
+    assert checked > 100
+
+
+class _ExpSteps:
+    """The steps of exp(x) = sum x^k / k!, counted; NaN from call ``nan_from``."""
+
+    def __init__(self, x, nan_from=math.inf):
+        self.x, self.nan_from, self.calls = x, nan_from, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return t * math.nan if self.calls >= self.nan_from else t * self.x / self.calls
+
+
+def test_rows_past_the_stop_are_never_read():
+    # the decay of the exp series speeds up, so a block sized from the last
+    # two residuals overshoots the stop; every term past the stop is NaN
+    algebra = algebra_of(16)
+    x = np.linspace(-2.0, 2.0, 16)
+    target = algebra.element(np.exp(-x))
+    for first in (algebra.element(np.exp(x)), algebra.unit()):
+        rest = (target, 1e-13, 4000, lambda n: 0.0)
+        expected = _outcome(_reference_geometric_sum, first, _ExpSteps(x), *rest)
+        stop = expected[2].terms_used
+        step = _ExpSteps(x, nan_from=stop)
+        assert _outcome(_geometric_sum, first, step, *rest) == expected
+        assert step.calls >= stop  # a NaN term was computed past the stop
+
+
+def test_series_block_memory_stays_within_a_few_coordinate_arrays():
+    # about 2,300 terms at d = 200,000: unbounded blocks would take ~7 GB
+    dim = 200_000
+    rng = np.random.default_rng(3)
+    algebra = algebra_of(dim)
+    z = rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)
+    a = algebra.element(z * (0.99 / np.abs(z).max()))
+    tracemalloc.start()
+    try:
+        _, report = neumann_inverse(a, max_terms=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.terms_used > 2000
+    assert peak <= 8 * a.coords.nbytes
 
 
 def test_perturbed_elements_stay_invertible():

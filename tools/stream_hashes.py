@@ -12,6 +12,13 @@ and the five data commands in both formats on the two golden documents of
 Every stream is produced in process through ``cli.run``.  The digest is
 of stdout alone, so its first 12 characters are the prefix that
 ``tests/test_cli.py`` pins where it pins one; the exit code ends the name.
+
+``verify`` sums the geometric series only at dimension 12 or less, so the
+library streams that follow take ``neumann_inverse`` and
+``perturbation_inverse`` at dimensions {32, 64, 512} for the same seeds, on
+elements drawn as the ``algebra-session`` benchmark draws them (30
+streams), and one :class:`Unconverged` partial sum.  Each digest is of the
+coordinate bytes followed by the repr of the report, where there is one.
 """
 
 from __future__ import annotations
@@ -22,14 +29,23 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cstarlab import cli  # noqa: E402
+from cstarlab import (  # noqa: E402
+    Unconverged,
+    cli,
+    make_function_algebra,
+    neumann_inverse,
+    perturbation_inverse,
+)
 
 SEEDS = (0, 1, 42, 7, 123)
 MAX_SIZES = (1, 4, 8, 12)
 COEFFICIENTS = (0.5, -1 + 0.25j, 0.125j)
+SERIES_DIMS = (32, 64, 512)
 
 
 def _golden_cli_module():
@@ -66,12 +82,47 @@ def _streams():
                 yield f"{command} {fmt} {doc}", config
 
 
+def _series_inputs(seed, dim):
+    """Elements (a, x, y) with norm(a) = 0.7 and y within |x|/2 of x."""
+    rng = np.random.default_rng([seed, dim])
+    algebra = make_function_algebra(tuple(f"x{i}" for i in range(dim)))
+
+    def phase():
+        return np.exp(2j * np.pi * rng.uniform(0, 1, dim))
+
+    a = 0.7 * rng.uniform(0, 1, dim) * phase()
+    a[rng.integers(0, dim)] = 0.7 * phase()[0]
+    x = rng.uniform(0.8, 1.2, dim) * phase()
+    y = x + 0.5 * x * rng.uniform(0, 1, dim) * phase()
+    return algebra.element(a), algebra.element(x), algebra.element(y)
+
+
+def _series_streams():
+    """(name, bytes) for the series inverses, in a fixed order."""
+    for seed in SEEDS:
+        for dim in SERIES_DIMS:
+            a, x, y = _series_inputs(seed, dim)
+            s, report = neumann_inverse(a)
+            stream = s.coords.tobytes() + repr(report).encode()
+            yield f"neumann seed={seed} dim={dim}", stream
+            s = perturbation_inverse(x, y)
+            yield f"perturbation seed={seed} dim={dim}", s.coords.tobytes()
+    a, _, _ = _series_inputs(SEEDS[0], SERIES_DIMS[-1])
+    try:
+        neumann_inverse(a, tol=1e-15, max_terms=40)
+    except Unconverged as err:
+        stream = err.partial.coords.tobytes() + repr(err.report).encode()
+        yield f"neumann unconverged seed={SEEDS[0]} dim={SERIES_DIMS[-1]}", stream
+
+
 def main() -> int:
     for name, config in _streams():
         out = io.StringIO()
         code = cli.run(config, out)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         print(f"{digest}  {name} exit={code}")
+    for name, stream in _series_streams():
+        print(f"{hashlib.sha256(stream).hexdigest()}  {name}")
     return 0
 
 
