@@ -67,8 +67,12 @@ class Ideal:
             raise ValueError(f"zero-set mask {mask:#x} is out of range")
 
     @cached_property
+    def _zero_indices(self) -> list[int]:  # shared, so never mutated
+        return _indices(self.mask)
+
+    @cached_property
     def zero_set(self) -> frozenset[int]:
-        return frozenset(_indices(self.mask))
+        return frozenset(self._zero_indices)
 
     @property
     def is_proper(self) -> bool:
@@ -132,8 +136,8 @@ def _lattice_result(algebra: CommutativeAlgebra, mask: int) -> Ideal:
 
 
 def _indices(mask: int) -> list[int]:
-    """The set bits of ``mask`` in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of ``mask`` in increasing order, read from ``bin(mask)``."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ class QuotientAlgebra:
         """Norm of the coset of ``a``: the sup over the zero set."""
         if a.algebra != self.base:
             raise AlgebraMismatch("element belongs to a different algebra")
-        return float(np.abs(a.coords[_indices(self.ideal.mask)]).max())
+        return float(np.abs(a.coords[self.ideal._zero_indices]).max())
 
 
 def ideal_from_closed_set(algebra: CommutativeAlgebra, closed_set) -> Ideal:
@@ -182,7 +186,7 @@ def quotient(
         raise AlgebraMismatch("ideal lives in a different algebra")
     if not ideal.is_proper:
         raise ImproperIdeal("cannot quotient by the whole algebra")
-    indices = _indices(ideal.mask)
+    indices = ideal._zero_indices
     space = FiniteSpace(tuple(algebra.character_label(i) for i in indices))
     model = FunctionAlgebra(space)
     projection = StarHomomorphism(algebra, model, tuple(indices))

@@ -16,6 +16,9 @@ import numpy as np
 # also the default comparison tolerance of classify_element, run_suite and
 # the CLI's --tol, which merges spectra and compares defects alike
 DEFAULT_MERGE_TOL = 1e-9
+# dedup_points cuts the sorted values into chains from this many values up;
+# on spread points that costs the same as the plain sweep at about 40 values
+_CHAIN_CUTOFF = 48
 
 
 def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[int, ...]]:
@@ -34,14 +37,44 @@ def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[i
     exceeds the tolerance for ``v`` and for every later value, so the sweep
     drops ``r`` for good.  The cost is a sort plus one distance per pair of
     value and representative whose real parts lie within ``merge_tol``.
+
+    So at the start of a chain, a maximal run of sorted values whose
+    consecutive real parts lie within ``merge_tol``, the window is empty.
+    From ``_CHAIN_CUTOFF`` values up, a chain of one value is therefore a
+    representative as it stands, and the sweep runs only inside longer ones.
     """
     arr = np.asarray(values, dtype=complex).reshape(-1)
-    vals = arr.tolist()
     # stable, and -0.0 ties with 0.0, as sorting (Re, Im) tuples would
-    order = np.lexsort((arr.imag, arr.real)).tolist()
-    reps: list[complex] = []
-    assign = [0] * len(vals)
-    first = 0
+    order = np.lexsort((arr.imag, arr.real))
+    n = arr.size
+    if n < _CHAIN_CUTOFF:
+        reps, assign = [], [0] * n
+        _sweep(arr.tolist(), order.tolist(), merge_tol, reps, assign)
+        return tuple(reps), tuple(assign)
+    ordered = arr[order]
+    owner = np.arange(n)  # the sorted position of each value's representative
+    cut = np.diff(ordered.real) > merge_tol  # False inside a chain
+    if not cut.all():
+        bounds = np.flatnonzero(np.concatenate(([True], cut, [True])))
+        long = np.flatnonzero(np.diff(bounds) > 1)
+        chains = list(map(range, bounds[long].tolist(), bounds[long + 1].tolist()))
+        vals, reps, number = ordered.tolist(), [], [0] * n
+        for chain in chains:
+            _sweep(vals, chain, merge_tol, reps, number)
+        members = np.concatenate(chains)
+        numbers = np.array(number)[members]
+        # representatives are numbered in sweep order, each at its first value
+        owner[members] = members[np.unique(numbers, return_index=True)[1]][numbers]
+    is_rep = owner == np.arange(n)
+    assign = np.empty(n, dtype=np.intp)
+    assign[order] = (np.cumsum(is_rep) - 1)[owner]
+    return tuple(ordered[is_rep].tolist()), tuple(assign.tolist())
+
+
+def _sweep(vals, order, merge_tol, reps, assign) -> None:
+    """The greedy sweep over ``vals[i]``, i in ``order``: sets ``assign[i]`` to
+    an index in ``reps``, which it extends; its window starts empty."""
+    first = len(reps)
     for i in order:
         v = vals[i]
         while first < len(reps) and v.real - reps[first].real > merge_tol:
@@ -58,7 +91,6 @@ def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[i
             reps.append(v)
             best = len(reps) - 1
         assign[i] = best
-    return tuple(reps), tuple(assign)
 
 
 @dataclass(frozen=True)

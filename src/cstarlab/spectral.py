@@ -126,6 +126,8 @@ def _geometric_sum(first, step, target, tol, max_terms, tail_bound):
     reach ``tol`` (8 while that decay is unknown), and no more than
     ``max_terms`` allows or ``_BLOCK_ENTRIES`` entries.  Rows past the stop
     are computed but never read."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     dim = first.coords.size
     total, term = first.coords, first.coords
     done, rows = 0, 2
@@ -284,7 +286,8 @@ def spectral_radius_exact(a: AlgebraElement) -> float:
 def _squaring_roots(x, square, size):
     """Yield size(x^(2^k))^(1/2^k) for k = 0, 1, ...  Each square is divided
     by its size and the scale is kept in log space; a square of size 0 or of
-    non-finite size raises :class:`Overflow`, and an x of size 0 yields 0s."""
+    non-finite size raises :class:`Overflow`, and an x of size 0 yields 0s.
+    ``square`` returns a new array, which is divided in place; x is not."""
     s = size(x)
     yield s
     if s == 0.0:
@@ -296,7 +299,10 @@ def _squaring_roots(x, square, size):
         m = size(x)
         if m == 0.0 or not math.isfinite(m):
             raise Overflow("repeated squaring left the floating range")
-        x = x / m
+        # numpy's x / m is Smith's division, (Re + Im * 0) * fl(1/m) per part:
+        # in place, only a zero's sign differs, and no size reads that
+        parts = x.view(np.float64)
+        parts *= 1.0 / m
         log_scale = 2.0 * log_scale + math.log(m)
         yield math.exp(log_scale / 2.0**k)
 
@@ -319,8 +325,11 @@ def spectral_radius_limit(a: AlgebraElement, n_max: int = 20) -> RadiusEstimate:
 
 
 def _hermitian_square(B: np.ndarray) -> np.ndarray:
-    S = B @ B
-    return (S + S.conj().T) / 2
+    S = B @ B  # (S + S*) / 2, halved in place as in _squaring_roots
+    S += S.conj().T
+    parts = S.view(np.float64)
+    parts *= 0.5
+    return S
 
 
 def operator_norm(matrix) -> float:

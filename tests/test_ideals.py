@@ -28,7 +28,9 @@ from cstarlab import (
     zariski_V,
     zero_ideal,
 )
+from cstarlab import ideals
 from cstarlab.algebra import NormalGeneratorAlgebra
+from cstarlab.ideals import _indices
 
 
 @pytest.fixture
@@ -373,3 +375,27 @@ def test_repeated_keys_name_the_same_ideal(A3):
     assert ideal_from_closed_set(A3, ("2", "2")) == once
     assert ideal_from_closed_set(A3, ("2", 1)) == once
     assert once.dimension == 2
+
+
+def test_indices_match_the_scan_over_every_bit_position():
+    rng = np.random.default_rng(37)
+    masks = [0, 1 << 4095] + [(1 << k) - 1 for k in (1, 2, 6, 12, 63, 64, 65, 512, 4096)]
+    for bits in rng.integers(1, 4097, 200).tolist():
+        mask = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+        masks += [mask, mask & int.from_bytes(rng.bytes((bits + 7) // 8), "little")]
+    for mask in masks:
+        assert _indices(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_quotient_and_its_norm_share_one_index_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ideals, "_indices", lambda mask: calls.append(mask) or _indices(mask))
+    algebra = make_function_algebra(tuple(f"x{i}" for i in range(512)))
+    keys = list(range(0, 512, 4))
+    ideal = ideal_from_closed_set(algebra, keys)
+    q, projection = quotient(algebra, ideal)
+    a = algebra.element(np.arange(512) * (1 + 1j))
+    assert q.quotient_norm(a) == abs(508 + 508j)
+    assert projection.character_images == tuple(keys)
+    assert ideal.zero_set == frozenset(keys)
+    assert calls == [ideal.mask]

@@ -1,6 +1,7 @@
 """Spectrum sets, inversion series, radius formulas, functional calculus."""
 
 import cmath
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -41,7 +42,9 @@ from cstarlab import (
     spectral_radius_limit,
     spectrum,
 )
+from cstarlab import spectra
 from cstarlab.algebra import CommutativeAlgebra
+from cstarlab.spectra import _CHAIN_CUTOFF
 from cstarlab.spectral import _geometric_sum
 
 
@@ -163,12 +166,12 @@ def test_dedup_matches_greedy_oracle_at_one_ulp_real_gaps(case):
 
 
 @st.composite
-def signed_zero_values(draw):
+def signed_zero_values(draw, min_size=1, max_size=24):
     """Real parts 0.0 and -0.0 with exact repeats, as a tuple or an ndarray."""
     tol = draw(st.sampled_from([1e-9, 0.5, 1.0]))
     imags = st.sampled_from([0.0, -0.0, tol / 2, -tol / 2, tol, 3 * tol])
     pool = draw(st.lists(st.tuples(st.sampled_from([0.0, -0.0]), imags), min_size=1))
-    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size))
     values = [complex(re, im) for re, im in picks]
     return draw(st.sampled_from([tuple, np.array]))(values), tol
 
@@ -177,6 +180,90 @@ def signed_zero_values(draw):
 @given(signed_zero_values())
 def test_dedup_matches_greedy_oracle_on_signed_zeros_and_repeats(case):
     assert_matches_oracle(*case)
+
+
+# From _CHAIN_CUTOFF values up, dedup_points sweeps only inside chains of
+# near real parts; the families below reach that path.
+LARGE = st.integers(_CHAIN_CUTOFF, 2 * _CHAIN_CUTOFF)
+
+
+@st.composite
+def imaginary_values(draw):
+    """Purely imaginary values on a grid of quarter tolerances: one chain."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.3]))
+    n = draw(LARGE)
+    reals = st.sampled_from([0.0, -0.0])
+    cells = draw(st.lists(st.tuples(reals, st.integers(-60, 60)), min_size=n, max_size=n))
+    return [complex(re, k * tol / 4) for re, k in cells], tol
+
+
+@st.composite
+def planted_values(draw):
+    """Spread values, some with a copy whose real part is tol/2, exactly tol,
+    or tol moved one ulp either way to the right."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.3]))
+    n = draw(LARGE)
+    unit = st.floats(-1.0, 1.0)
+    values = [complex(*p) for p in draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n))]
+    shifts = st.sampled_from(["half", "tol", "below", "above"])
+    plants = draw(st.lists(st.tuples(st.integers(0, n - 1), shifts), max_size=n // 2))
+    for i, shift in plants:
+        v = values[i]
+        edge = v.real + tol
+        re = {
+            "half": v.real + tol / 2,
+            "tol": edge,
+            "below": math.nextafter(edge, -math.inf),
+            "above": math.nextafter(edge, math.inf),
+        }[shift]
+        values.append(complex(re, v.imag + draw(st.sampled_from([0.0, tol / 2]))))
+    return draw(st.permutations(values)), tol
+
+
+@settings(max_examples=100)
+@given(imaginary_values())
+def test_dedup_chains_match_greedy_oracle_on_imaginary_values(case):
+    assert_matches_oracle(*case)
+
+
+@settings(max_examples=100)
+@given(planted_values())
+def test_dedup_chains_match_greedy_oracle_on_planted_near_duplicates(case):
+    assert_matches_oracle(*case)
+
+
+@settings(max_examples=100)
+@given(signed_zero_values(min_size=_CHAIN_CUTOFF, max_size=2 * _CHAIN_CUTOFF))
+def test_dedup_chains_match_greedy_oracle_on_signed_zeros(case):
+    assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("n", [_CHAIN_CUTOFF - 1, _CHAIN_CUTOFF])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_dedup_matches_greedy_oracle_either_side_of_the_chain_cutoff(n, data):
+    tol = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+    cell = st.integers(-12, 12)
+    cells = data.draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    assert_matches_oracle([complex(a / 4, b / 4) for a, b in cells], tol)
+
+
+def test_dedup_sweeps_only_inside_chains_of_near_real_parts(monkeypatch):
+    swept = []
+    sweep = spectra._sweep
+
+    def recording(vals, order, *rest):
+        swept.append(list(order))
+        sweep(vals, order, *rest)
+
+    monkeypatch.setattr(spectra, "_sweep", recording)
+    values = [complex(k, 0.0) for k in range(_CHAIN_CUTOFF)] + [7 + 5e-10j, 7 + 2e-9j]
+    assert_matches_oracle(values, 1e-9)
+    # 7, 7 + 5e-10j and 7 + 2e-9j share a real part; everything else is alone
+    assert swept == [[7, 8, 9]]
+    # below the cutoff one sweep visits every value
+    dedup_points(values[: _CHAIN_CUTOFF - 1], 1e-9)
+    assert swept[1:] == [list(range(_CHAIN_CUTOFF - 1))]
 
 
 def test_dedup_tie_goes_to_the_later_representative():
@@ -275,6 +362,25 @@ def test_neumann_requires_norm_below_one():
         neumann_inverse(algebra.unit())
     with pytest.raises(NormTooLarge):
         neumann_inverse(algebra.element([0.2, 1.3]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-300, -math.inf])
+def test_neumann_rejects_a_nan_or_negative_tol(tol):
+    algebra = algebra_of(2)
+    with pytest.raises(ValueError, match="tol"):
+        neumann_inverse(algebra.element([0.7, 0.5j]), tol=tol)
+    # tol 0 stays valid: the zero element's series stops at the unit
+    assert neumann_inverse(algebra.zero(), tol=0.0)[1].terms_used == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-300, -math.inf])
+def test_perturbation_rejects_a_nan_or_negative_tol(tol):
+    algebra = algebra_of(2)
+    x = algebra.element([2.0, 0.5j])
+    with pytest.raises(ValueError, match="tol"):
+        perturbation_inverse(x, algebra.element([2.0, 0.6j]), tol=tol)
+    # tol 0 stays valid: 1/2 and -2j invert 2 and 0.5j exactly
+    assert perturbation_inverse(x, x, tol=0.0).coords.tolist() == [0.5, -2j]
 
 
 def test_neumann_unconverged_carries_partial_sum():
@@ -515,19 +621,21 @@ def test_rows_past_the_stop_are_never_read():
 
 
 def test_series_block_memory_stays_within_a_few_coordinate_arrays():
-    # about 2,300 terms at d = 200,000: unbounded blocks would take ~7 GB
+    # over 200 terms at d = 200,000: a block of them all, without the cap on
+    # its entries, would take about 220 x 200,000 x 16 B = 700 MB, against a
+    # bound of 8 coordinate arrays (25.6 MB)
     dim = 200_000
     rng = np.random.default_rng(3)
     algebra = algebra_of(dim)
     z = rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)
-    a = algebra.element(z * (0.99 / np.abs(z).max()))
+    a = algebra.element(z * (0.9 / np.abs(z).max()))
     tracemalloc.start()
     try:
         _, report = neumann_inverse(a, max_terms=4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.terms_used > 2000
+    assert report.terms_used > 200
     assert peak <= 8 * a.coords.nbytes
 
 
@@ -691,6 +799,95 @@ def test_radius_equals_norm_in_these_models():
     for _ in range(50):
         a = random_element(algebra_of(int(rng.integers(1, 9))), rng, 2.0)
         assert abs(spectral_radius_exact(a) - a.norm()) <= 1e-10
+
+
+def _reference_squaring_roots(x, square, size):
+    """The squaring loop before it scaled in place: x / m for every square."""
+    s = size(x)
+    yield s
+    if s == 0.0:
+        yield from itertools.repeat(0.0)
+    log_scale = math.log(s)
+    x = x / s
+    for k in itertools.count(1):
+        x = square(x)
+        m = size(x)
+        if m == 0.0 or not math.isfinite(m):
+            raise Overflow("repeated squaring left the floating range")
+        x = x / m
+        log_scale = 2.0 * log_scale + math.log(m)
+        yield math.exp(log_scale / 2.0**k)
+
+
+def _reference_hermitian_square(B):
+    S = B @ B
+    return (S + S.conj().T) / 2
+
+
+def _reference_operator_norm(matrix):
+    M = np.asarray(matrix, dtype=complex)
+    roots = _reference_squaring_roots(
+        M.conj().T @ M, _reference_hermitian_square, lambda B: float(np.linalg.norm(B))
+    )
+    for previous, estimate in itertools.pairwise(itertools.islice(roots, 1, 64)):
+        if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
+            break
+    return math.sqrt(estimate)
+
+
+def _bits_or_error(f, *args):
+    try:
+        result = f(*args)
+    except Overflow as err:
+        return "Overflow", str(err)
+    return [x.hex() for x in np.atleast_1d(result).tolist()]
+
+
+def _squaring_matrices(rng, count):
+    """Random, Hermitian, diagonal, triangular at 2^-430 or 2^430 (whose
+    Frobenius norm overflows), and half-zero matrices, n from 1 to 69."""
+    for k in range(count):
+        n = int(rng.integers(1, 70))
+        M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        kind = k % 5
+        if kind == 1:
+            M = M + M.conj().T
+        elif kind == 2:
+            M = np.diag(np.diag(M))
+        elif kind == 3:
+            M = np.triu(M) * 2.0 ** float(rng.choice([-430, 430]))
+        elif kind == 4:
+            M[rng.uniform(size=(n, n)) < 0.5] = 0.0
+        yield M
+
+
+def test_operator_norm_matches_the_out_of_place_squaring_bit_for_bit():
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    with np.errstate(over="ignore"):  # np.linalg.norm of the 2^430 squares
+        for M in _squaring_matrices(rng, 200):
+            want = _bits_or_error(_reference_operator_norm, M)
+            assert _bits_or_error(operator_norm, M) == want, M.shape
+            outcomes.add(want[0])
+    assert "Overflow" in outcomes and len(outcomes) > 100
+
+
+def test_radius_limit_trace_matches_the_out_of_place_squaring_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for k in range(150):
+        d = int(rng.integers(1, 600))
+        z = rng.normal(size=d) + 1j * rng.normal(size=d)
+        if k % 3 == 1:
+            z = 1j * z.imag
+        elif k % 3 == 2:
+            z[rng.uniform(size=d) < 0.5] = 0.0
+        a = algebra_of(d).element(z)
+        roots = _reference_squaring_roots(
+            a.coords, lambda b: b * b, lambda b: float(np.abs(b).max())
+        )
+        want = [x.hex() for x in itertools.islice(roots, 21)]
+        assert [x.hex() for x in spectral_radius_limit(a).trace] == want, d
+        assert a.coords.tobytes() == z.tobytes()  # never scaled in place
 
 
 def test_operator_norm_known_matrices():

@@ -19,6 +19,16 @@ library streams that follow take ``neumann_inverse`` and
 elements drawn as the ``algebra-session`` benchmark draws them (30
 streams), and one :class:`Unconverged` partial sum.  Each digest is of the
 coordinate bytes followed by the repr of the report, where there is one.
+
+``verify`` also deduplicates at most 12 values and never takes a norm of a
+matrix above 12 x 12, so the last library streams take, for the same seeds:
+``spectrum`` points and ``dedup_points`` assignments at dimensions {64, 512,
+2048} on the series element ``a``, on a purely imaginary element and on one
+on a 1e-9 grid (45 streams); the distinct spectrum and multiplicity map of
+a 256 x 256 normal generator with 24 distinct eigenvalues, each used at
+least once (5); at dimension 512 the labels of a quotient's zero set, the
+coordinates of the projection of ``a`` and its quotient norm (5); and
+``operator_norm`` of a materialized element at n {16, 64} (10).
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -37,15 +48,24 @@ sys.path.insert(0, str(ROOT / "src"))
 from cstarlab import (  # noqa: E402
     Unconverged,
     cli,
+    dedup_points,
+    ideal_from_closed_set,
     make_function_algebra,
+    make_normal_generator_algebra,
     neumann_inverse,
+    operator_norm,
     perturbation_inverse,
+    quotient,
+    spectrum,
 )
+from cstarlab.spectra import DEFAULT_MERGE_TOL  # noqa: E402
 
 SEEDS = (0, 1, 42, 7, 123)
 MAX_SIZES = (1, 4, 8, 12)
 COEFFICIENTS = (0.5, -1 + 0.25j, 0.125j)
 SERIES_DIMS = (32, 64, 512)
+SPECTRUM_DIMS = (64, 512, 2048)
+NORM_DIMS = (16, 64)
 
 
 def _golden_cli_module():
@@ -115,13 +135,65 @@ def _series_streams():
         yield f"neumann unconverged seed={SEEDS[0]} dim={SERIES_DIMS[-1]}", stream
 
 
+def _normal_generator(rng, distinct, n):
+    """A normal n x n matrix whose eigenvalues are ``distinct`` values with
+    real parts well apart, each used at least once, in a random unitary basis."""
+    while True:
+        values = rng.uniform(-1, 1, distinct) + 1j * rng.uniform(-1, 1, distinct)
+        if distinct < 2 or np.min(np.diff(np.sort(values.real))) > 1e-6:
+            break
+    picks = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
+    eigenvalues = values[rng.permutation(picks)]
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    return (U * eigenvalues) @ U.conj().T
+
+
+def _spectrum_streams():
+    """(name, bytes) for spectra, quotients and operator norms, in a fixed order."""
+    for seed in SEEDS:
+        for dim in SPECTRUM_DIMS:
+            rng = np.random.default_rng([seed, dim, 1])
+            a, _, _ = _series_inputs(seed, dim)
+            grid = rng.integers(-16, 16, dim) + 1j * rng.integers(-16, 16, dim)
+            for kind, coords in (
+                ("series", a.coords),
+                ("imaginary", 1j * rng.uniform(-1, 1, dim)),
+                ("grid", 1e-9 * grid),
+            ):
+                points = spectrum(a.algebra.element(coords)).points
+                _, assign = dedup_points(coords, DEFAULT_MERGE_TOL)
+                stream = np.array(points, dtype=complex).tobytes() + repr(assign).encode()
+                yield f"spectrum {kind} seed={seed} dim={dim}", stream
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 256, 24])
+        algebra = make_normal_generator_algebra(_normal_generator(rng, 24, 256))
+        points = np.array(algebra.distinct_spectrum.points, dtype=complex)
+        stream = points.tobytes() + repr(algebra.multiplicity_map).encode()
+        yield f"generator distinct=24 seed={seed} n=256", stream
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 512, 2])
+        a, _, _ = _series_inputs(seed, 512)
+        keys = sorted(rng.choice(512, 128, replace=False).tolist())
+        q, projection = quotient(a.algebra, ideal_from_closed_set(a.algebra, keys))
+        stream = repr(q.space.points).encode() + projection(a).coords.tobytes()
+        yield f"quotient seed={seed} dim=512", stream + repr(q.quotient_norm(a)).encode()
+    for seed in SEEDS:
+        for n in NORM_DIMS:
+            rng = np.random.default_rng([seed, n, 3])
+            algebra = make_normal_generator_algebra(_normal_generator(rng, n, n))
+            b = algebra.element(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+            norm = operator_norm(algebra.materialize(b))
+            yield f"operator_norm seed={seed} n={n}", repr(norm).encode()
+
+
 def main() -> int:
     for name, config in _streams():
         out = io.StringIO()
         code = cli.run(config, out)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         print(f"{digest}  {name} exit={code}")
-    for name, stream in _series_streams():
+    for name, stream in itertools.chain(_series_streams(), _spectrum_streams()):
         print(f"{hashlib.sha256(stream).hexdigest()}  {name}")
     return 0
 
