@@ -63,6 +63,11 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _json_number(x: float) -> float | None:
+    """``x``, or None where it is inf or NaN, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def _emit(out, record: dict) -> None:
     out.write(document_to_json(record) + "\n")
 
@@ -129,16 +134,14 @@ def _cmd_classify(config: RunConfig, element, out) -> int:
     offender = report.positive_offender
     if config.output_format == "structured":
         for name in sorted(report.flags):
-            # an element too large to square has an inf defect, which JSON
-            # cannot hold; the flag is decided all the same
-            defect = defects[name] if math.isfinite(defects[name]) else None
+            # a defect too large for a float is inf; the flag stands all the same
             _emit(
                 out,
                 {
                     "kind": "classification",
                     "class": name,
                     "member": report.flags[name],
-                    "defect": defect,
+                    "defect": _json_number(defects[name]),
                 },
             )
         if offender is not None:
@@ -231,12 +234,13 @@ def _cmd_verify(config: RunConfig, out) -> int:
                 {
                     "law": rec.law,
                     "instance": rec.instance,
-                    "defect": rec.defect,
+                    "defect": _json_number(rec.defect),
                     "pass": rec.passed,
                 },
             )
         for row in summary:
-            _emit(out, {"kind": "summary", **row})
+            worst = _json_number(row["max_defect"])
+            _emit(out, {"kind": "summary", **row, "max_defect": worst})
     else:
         for row in summary:
             verdict = "pass" if row["pass"] else "FAIL"

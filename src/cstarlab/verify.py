@@ -33,7 +33,8 @@ from .duality import (
     verify_naturality_mu,
     verify_naturality_tau,
 )
-from .gelfand import characters, gelfand_inverse, gelfand_transform
+from .errors import CstarError
+from .gelfand import characters
 from .ideals import (
     Ideal,
     closed_set_from_ideal,
@@ -82,15 +83,20 @@ def _law(name: str, count: Callable[[int], int]) -> Callable[..., Run]:
 
     The registered ``run(rng, tol, max_size)`` collects the records of
     ``sample(rng, tol, max_size, i)`` for ``i`` in ``range(count(max_size))``.
+    A :class:`CstarError` ends the law: the records yielded so far stay, and
+    a failed record with defect inf names the error.
     """
 
     def register(sample: Callable[..., Iterator[CheckRecord]]) -> Run:
         def run(rng, tol, max_size):
-            return [
-                rec
-                for i in range(count(max_size))
-                for rec in sample(rng, tol, max_size, i)
-            ]
+            records = []
+            try:
+                for i in range(count(max_size)):
+                    records.extend(sample(rng, tol, max_size, i))
+            except CstarError as exc:
+                raised = f"raised {type(exc).__name__}: {exc}"
+                records.append(CheckRecord(name, raised, np.inf, False))
+            return records
 
         LAWS.append((name, run))
         return run
@@ -135,8 +141,6 @@ def law_norm_laws(rng, tol, max_size, i):
     a = random_element(rng, algebra, magnitude=2.0)
     b = random_element(rng, algebra, magnitude=2.0)
     name = f"{algebra.describe()} #{i}"
-    yield check("unit_norm", name, abs(algebra.unit().norm() - 1.0), 0.0)
-    yield check("involution_isometry", name, abs(a.star().norm() - a.norm()), 0.0)
     slack = max(0.0, (a * b).norm() - a.norm() * b.norm())
     yield check("submultiplicative", name, slack, 1e-12 * (1.0 + a.norm() * b.norm()))
 
@@ -210,22 +214,14 @@ def law_spectral_radius(rng, tol, max_size, i):
     estimate = spectral_radius_limit(a, n_max=20)
     name = f"{algebra.describe()} #{i}"
     yield check("radius_limit", name, abs(estimate.estimate - exact), 1e-6)
-    yield check("radius_equals_norm", name, abs(exact - a.norm()), 1e-10)
 
 
 @_law("gelfand", _scaled)
 def law_gelfand(rng, tol, max_size, i):
     algebra = random_algebra(rng, max_size)
     a = random_element(rng, algebra, magnitude=2.0)
-    b = random_element(rng, algebra, magnitude=2.0)
+    random_element(rng, algebra, magnitude=2.0)  # unused; drawn so no later draw moves
     name = f"{algebra.describe()} #{i}"
-    a_hat = gelfand_transform(a)
-    round_trip = (gelfand_inverse(algebra, a_hat) - a).norm()
-    yield check("gelfand_round_trip", name, round_trip, 1e-10)
-    isometry = abs(a_hat.norm() - a.norm())
-    yield check("gelfand_isometry", name, isometry, 1e-10 * (1.0 + a.norm()))
-    product = (gelfand_transform(a * b) - a_hat * gelfand_transform(b)).norm()
-    yield check("gelfand_multiplicative", name, product, 1e-10)
     char_values = [chi(a) for chi in characters(algebra)]
     defect = hausdorff_distance(spectrum(a, tol).points, char_values)
     yield check("spectrum_is_character_set", name, defect, tol)
@@ -237,14 +233,12 @@ def law_characters(rng, tol, max_size, i):
     a = random_element(rng, algebra, magnitude=2.0)
     b = random_element(rng, algebra, magnitude=2.0)
     scale = 1.0 + a.norm() * b.norm()
-    unit, ab = algebra.unit(), a * b
-    unital = mult = contraction = 0.0
+    ab = a * b
+    mult = contraction = 0.0
     for chi in characters(algebra):
-        unital = max(unital, abs(chi(unit) - 1.0))
         mult = max(mult, abs(chi(ab) - chi(a) * chi(b)))
         contraction = max(contraction, abs(chi(a)) - a.norm())
     name = f"{algebra.describe()} #{i}"
-    yield check("character_unital", name, unital, 0.0)
     yield check("character_multiplicative", name, mult, 1e-12 * scale)
     # scalar abs and the vectorized modulus inside norm() may differ by
     # one ulp, so the contraction is exact only up to rounding

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from cstarlab import cli, verify
+from cstarlab.errors import NonFinite
 from cstarlab.interchange import complex_pairs
+from cstarlab.sampling import random_complex
 from cstarlab.verify import CheckRecord
 
 DIAG123 = json.dumps(
@@ -359,26 +361,26 @@ def test_parser_defaults_are_the_run_config_defaults():
 # sha256 prefixes of ``verify --format structured``; a refactor that changes
 # any byte of these streams changes behaviour
 GOLDEN_VERIFY_STREAMS = {
-    (0, 1): "92b25a78467f",
-    (0, 4): "d64c14180bd9",
-    (0, 8): "ce4b0f0ac4f8",
-    (1, 1): "261842555b61",
-    (1, 4): "c1cc8672b889",
-    (1, 8): "020d093d5a44",
-    (42, 1): "448c59f9d55f",
-    (42, 4): "5080da951f9a",
-    (42, 8): "dc6b938ce307",
-    (0, 12): "31795886e42a",
-    (1, 12): "0667731c9e03",
-    (42, 12): "47ffa24e01b2",
-    (7, 1): "b6a0c870779f",
-    (7, 4): "856dc9c948e8",
-    (7, 8): "a59fc72ed8dc",
-    (7, 12): "11c762dc223e",
-    (123, 1): "6bba7320ba6a",
-    (123, 4): "38441131ac7c",
-    (123, 8): "9832308ca0aa",
-    (123, 12): "fa7361450337",
+    (0, 1): "267a8b6d318c",
+    (0, 4): "11b5b1e9f6bd",
+    (0, 8): "97260d8b1efc",
+    (1, 1): "5b8cb9ba0aca",
+    (1, 4): "43c1a6b3b076",
+    (1, 8): "3169029de25e",
+    (42, 1): "441d6be9dff1",
+    (42, 4): "8111b20c2f67",
+    (42, 8): "de70884ca0cf",
+    (0, 12): "2268e52d951d",
+    (1, 12): "a057bf29733a",
+    (42, 12): "c9aaf845e236",
+    (7, 1): "6c1e53ec4ef8",
+    (7, 4): "f6a9db8449da",
+    (7, 8): "3331f4d8d32d",
+    (7, 12): "bcb1566d45ed",
+    (123, 1): "81e9f43598c8",
+    (123, 4): "33ae1ff49904",
+    (123, 8): "5b656e15c961",
+    (123, 12): "2a198bf6e99d",
 }
 
 
@@ -394,10 +396,10 @@ def test_structured_verify_stream_is_golden(seed, max_size):
 
 # sha256 prefixes of ``verify --format text``: the per-law summary lines
 GOLDEN_VERIFY_TEXT_STREAMS = {
-    (0, 4): "ff42c5ce4490",
-    (0, 12): "05e978ebb8c2",
-    (42, 4): "7bcaf50f6a86",
-    (42, 12): "3032abf9133e",
+    (0, 4): "b119e51e4566",
+    (0, 12): "721355a572f7",
+    (42, 4): "e4aa0c7befb6",
+    (42, 12): "c371198c6639",
 }
 
 
@@ -507,6 +509,45 @@ def test_verify_failure_exits_1(monkeypatch):
     assert code == 1
     assert "FAIL" in text
     assert "first failing instance: here" in text
+
+
+def test_a_law_that_raises_becomes_a_failed_record(monkeypatch, capsys):
+    # random_complex draws the polynomials of spectral_mapping alone
+    drawn = []
+
+    def third_draw_raises(rng, n, magnitude=1.0):
+        drawn.append(n)
+        if len(drawn) == 3:
+            raise NonFinite("no third polynomial")
+        return random_complex(rng, n, magnitude)
+
+    monkeypatch.setattr(verify, "random_complex", third_draw_raises)
+    code, text = run_cli(command="verify", max_size=2, output_format="structured")
+    assert code == 1
+    lines = [json.loads(line) for line in text.splitlines()]
+    records = [rec for rec in lines if "kind" not in rec]
+    mapping = [rec for rec in records if rec["law"] == "spectral_mapping"]
+    # the two records yielded before the raise stay, then the raised record
+    assert [rec["pass"] for rec in mapping] == [True, True, False]
+    assert mapping[-1] == {
+        "law": "spectral_mapping",
+        "instance": "raised NonFinite: no third polynomial",
+        "defect": None,
+        "pass": False,
+    }
+    summary = {rec["law"]: rec for rec in lines if rec.get("kind") == "summary"}
+    assert summary["spectral_mapping"]["max_defect"] is None
+    assert summary["spectral_mapping"]["witness"] == mapping[-1]["instance"]
+    # the laws after it still run, and every one of them passes
+    assert list(summary)[-1] == "norm_uniqueness"
+    assert [law for law, rec in summary.items() if not rec["pass"]] == ["spectral_mapping"]
+
+    drawn.clear()
+    code, text = run_cli(command="verify", max_size=2)
+    assert code == 1
+    assert "spectral_mapping: FAIL (3 instances, max defect inf)" in text
+    assert "first failing instance: raised NonFinite: no third polynomial" in text
+    assert "Traceback" not in text + capsys.readouterr().err
 
 
 def test_main_parses_argv():

@@ -46,6 +46,54 @@ def test_registry_names_and_order():
     assert [name for name, _ in verify.LAWS] == LAW_NAMES
 
 
+# each law's record names in first-appearance order: a record that is added
+# or deleted has to be added or deleted here too
+RECORD_NAMES = {
+    "cstar_identity": ["cstar_identity"],
+    "norm_laws": ["submultiplicative"],
+    "geometric_series": ["neumann_tail_bound", "neumann_matches_inverse"],
+    "perturbation": [
+        "inversion_open",
+        "perturbation_matches_inverse",
+        "inversion_continuity",
+    ],
+    "resolvent_series": ["resolvent_series"],
+    "spectral_mapping": ["spectral_mapping"],
+    "spectral_radius": ["radius_limit"],
+    "gelfand": ["spectrum_is_character_set"],
+    "characters": ["character_multiplicative", "character_contraction"],
+    "functor_laws": [
+        "functor_F_identity",
+        "functor_F_contravariant",
+        "functor_G_contravariant",
+    ],
+    "naturality": ["naturality_tau", "naturality_mu"],
+    "duality_equivalence": ["duality_equivalence"],
+    "ideal_correspondence": [
+        "ideal_round_trip",
+        "quotient_dimension",
+        "quotient_norm_closed_form",
+        "quotient_cstar",
+        "projection_kernel",
+        "maximal_quotient_is_scalar",
+    ],
+    "zariski": ["zariski_axioms"],
+    "classification": ["classification_flag", "classification_spectrum"],
+    "norm_uniqueness": ["norm_uniqueness"],
+}
+
+
+def test_record_names_per_law():
+    rng = np.random.default_rng(0)
+    walked, names = [], {}
+    for law, run in verify.LAWS:
+        records = run(rng, 1e-9, 3)
+        walked.extend(records)
+        names[law] = list(dict.fromkeys(r.law for r in records))
+    assert names == RECORD_NAMES
+    assert walked == run_suite(0, max_size=3)
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_walking_the_registry_reproduces_run_suite(seed):
     # the walk a per-law timer makes: one shared generator, registry order
