@@ -18,7 +18,11 @@ the length, copies and checks finiteness.  Every array the package builds
 itself has the right length by construction, so ``_fresh`` wraps it and
 only checks finiteness (an overflow or a NaN still raises
 :class:`NonFinite`).  Every element's array is read-only, which lets the
-Gelfand transform share it instead of copying it.
+Gelfand transform share it instead of copying it.  Three kinds of array are
+finite by construction and skip ``_fresh``: the indicators, the duality
+verifier's blocks of pairwise products and of stars of its family (every
+family value has modulus at most 1), and the coordinates that the Gelfand
+transform shares with its element.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ class CommutativeAlgebra:
         Only finiteness is checked, so an overflow or a NaN in arithmetic
         still raises :class:`NonFinite`; the array is frozen, not copied.
         """
-        if not np.isfinite(arr).all():
+        # the ufunc's own reduce: ndarray.all goes through a Python-level shim
+        if not np.logical_and.reduce(np.isfinite(arr)):
             raise NonFinite("coordinates must be finite")
         arr.flags.writeable = False
         return AlgebraElement(self, arr)
@@ -102,7 +107,7 @@ class CommutativeAlgebra:
         """The element that is 1 at character ``i`` and 0 at every other."""
         coords = np.zeros(self.dim, dtype=complex)
         coords[i] = 1.0
-        return self._fresh(coords)
+        return AlgebraElement(self, _readonly(coords))
 
     def character_label(self, i: int) -> str:
         raise NotImplementedError
@@ -183,18 +188,20 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         # is the unscaled one wherever the unscaled arithmetic stayed in range,
         # and the cluster gap and the merge cutoff scale with M.
         k, Ms, defect_s = _scaled_commutator(M)
-        fro_s = float(np.linalg.norm(Ms))
+        fro_s = _fro(Ms)
         bound_s = _NORMALITY_TOL * fro_s * fro_s
         if not defect_s <= bound_s:
             raise NotNormal(defect_s, bound_s, 2 * k)
 
         U, eigs_s = _joint_diagonalize(Ms)
-        unitary_defect = float(np.linalg.norm(U.conj().T @ U - np.eye(n)))
+        gram = U.conj().T @ U
+        gram.reshape(-1)[:: n + 1] -= 1.0  # U* U - I, without building I
+        unitary_defect = _fro(gram)
         if unitary_defect > 1e-12 * n:
             raise DecompositionFailure(
                 f"change of basis is not unitary: defect {unitary_defect:.3e}"
             )
-        recon_s = float(np.linalg.norm((U * eigs_s) @ U.conj().T - Ms))
+        recon_s = _fro((U * eigs_s) @ U.conj().T - Ms)
         # 1e-8 n |M|_F + |[M, M*]|_F / |M|_F, which scales with M
         recon_bound_s = 1e-8 * n * fro_s + (defect_s / fro_s if fro_s else 0.0)
         if not recon_s <= recon_bound_s:
@@ -270,6 +277,18 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         return hash(("NormalGeneratorAlgebra", self.generator.tobytes()))
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm of a complex array, bit for bit ``np.linalg.norm(x)``.
+
+    It performs that function's own steps for a complex array (ravel in
+    memory order, the dot products of the real and imaginary parts, one
+    square root) without its argument dispatch.
+    """
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
     """k with 2^k above every |Re| and |Im| of M, Ms = M 2^-k, and the
     Frobenius norm of Ms Ms* - Ms* Ms.
@@ -282,7 +301,7 @@ def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
     k = max(-1022, math.frexp(top)[1])
     Ms = M * 2.0**-k
     Ms_star = Ms.conj().T
-    return k, Ms, float(np.linalg.norm(Ms @ Ms_star - Ms_star @ Ms))
+    return k, Ms, _fro(Ms @ Ms_star - Ms_star @ Ms)
 
 
 def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,9 +320,10 @@ def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, U = np.linalg.eigh((M + M.conj().T) / 2)
     K = (M - M.conj().T) / 2j
     gap_tol = 2e-8 * max(1.0, float(np.abs(w).max()))
+    wl = w.tolist()
     start = 0
     for stop in range(1, n + 1):
-        if stop < n and w[stop] - w[stop - 1] <= gap_tol:
+        if stop < n and wl[stop] - wl[stop - 1] <= gap_tol:
             continue
         if stop - start > 1:
             block = U[:, start:stop]
@@ -312,7 +332,7 @@ def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _, Q = np.linalg.eigh(Kblock)
             U[:, start:stop] = block @ Q
         start = stop
-    eigs = np.diag(U.conj().T @ M @ U).copy()
+    eigs = (U.conj().T @ M @ U).diagonal().copy()
     return U, eigs
 
 
@@ -369,7 +389,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Sup norm: the largest coordinate modulus."""
-        return float(np.abs(self.coords).max())
+        return float(np.maximum.reduce(np.abs(self.coords)))
 
     def __repr__(self) -> str:
         vals = ", ".join(f"{v:.6g}" for v in self.coords[:6])

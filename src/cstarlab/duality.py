@@ -8,6 +8,11 @@ precomposition by its index tuple.  The two natural transformations
 indicator elements rather than assumed, so an indexing bug shows up as a
 failed probe instead of a silently commuting square.
 
+The transform's round trip, isometry, multiplicativity and
+*-preservation are each measured once over a block of coordinates, one row
+per family member or pair, after checking the algebras of every pair as
+element arithmetic would.
+
 Every verifier returns an :class:`EquivalenceReport` of measured defects;
 a naturality report holds one record, ``naturality_tau`` or
 ``naturality_mu``, about its morphism.  For honest probes the defects are
@@ -23,8 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CommutativeAlgebra, FunctionAlgebra, StarHomomorphism
-from .errors import DualityViolation, NotACharacter
+from .algebra import (
+    AlgebraElement,
+    CommutativeAlgebra,
+    FunctionAlgebra,
+    StarHomomorphism,
+    _readonly,
+)
+from .errors import DualityViolation, NonFinite, NotACharacter
 from .gelfand import characters, gelfand_inverse, gelfand_transform, transform_target
 from .spaces import ContinuousMap, FiniteSpace
 
@@ -95,9 +106,9 @@ def functor_F_morphism(phi) -> ContinuousMap:
     source_space = functor_F_object(phi.target)
     target_space = functor_F_object(phi.source)
     # row j is the functional (character j) . phi on the indicator basis
-    images = np.column_stack(
+    images = np.array(
         [phi(phi.source._indicator(i)).coords for i in range(phi.source.dim)]
-    )
+    ).T
     rows = np.arange(phi.target.dim)
     modulus = np.abs(images)
     best = modulus.argmax(axis=1)
@@ -176,13 +187,19 @@ def verify_naturality_tau(phi: StarHomomorphism) -> EquivalenceReport:
     Both paths from the source algebra to functions on the target's
     character space are applied to every indicator basis element, and the
     defect is the largest coordinate gap (equivalently, the worst character
-    evaluation).
+    evaluation), taken once over the two stacked paths.
     """
     A, B = phi.source, phi.target
     tau_A, tau_B = tau(A), tau(B)
     double_dual = functor_G_morphism(functor_F_morphism(phi))
-    basis = [A._indicator(i) for i in range(A.dim)]
-    defect = max((double_dual(tau_A(u)) - tau_B(phi(u))).norm() for u in basis)
+    dual_path, direct_path = [], []
+    for i in range(A.dim):
+        u = A._indicator(i)
+        left, right = double_dual(tau_A(u)), tau_B(phi(u))
+        left._check_same(right)
+        dual_path.append(left.coords)
+        direct_path.append(right.coords)
+    defect = _gap(np.array(dual_path), np.array(direct_path))
     name = f"{A.describe()} -> {B.describe()}"
     return EquivalenceReport(name, (check("naturality_tau", name, defect),))
 
@@ -243,6 +260,19 @@ def _verify_space(space: FiniteSpace) -> EquivalenceReport:
     )
 
 
+def _gap(left: np.ndarray, right: np.ndarray) -> float:
+    """The largest modulus of ``left - right``: the largest norm of the
+    element differences, row by row, taken once over the whole block.
+
+    A non-finite difference raises :class:`NonFinite`, as wrapping that
+    difference as an element would.
+    """
+    diff = left - right
+    if not np.logical_and.reduce(np.isfinite(diff), axis=None):
+        raise NonFinite("coordinates must be finite")
+    return float(np.abs(diff).max())
+
+
 def _verify_algebra(algebra: CommutativeAlgebra) -> EquivalenceReport:
     name = algebra.describe()
     dual_gap = abs(transform_target(algebra).dim - algebra.dim)
@@ -254,13 +284,41 @@ def _verify_algebra(algebra: CommutativeAlgebra) -> EquivalenceReport:
     family.append(
         algebra._fresh(np.arange(1, algebra.dim + 1) * (0.7 - 0.3j) / algebra.dim)
     )
-    pairs = [(a, gelfand_transform(a)) for a in family]
-    round_trip = max((gelfand_inverse(algebra, h) - a).norm() for a, h in pairs)
-    isometry = max(abs(h.norm() - a.norm()) for a, h in pairs)
-    mult = max(
-        (gelfand_transform(a * b) - h * k).norm() for a, h in pairs for b, k in pairs
+    hats = [gelfand_transform(a) for a in family]
+    coords = np.array([a.coords for a in family])
+    # every value of the family has modulus at most 1, so the read-only
+    # blocks of pairwise products and of stars are finite by construction
+    products = _readonly(coords[:, None, :] * coords[None, :, :])
+    stars = _readonly(coords.conj())
+    # each comparison checks its two algebras, in the order and with the
+    # error that subtracting the two elements would raise
+    inverses = []
+    for h, a in zip(hats, family):
+        r = gelfand_inverse(algebra, h)
+        r._check_same(a)
+        inverses.append(r.coords)
+    round_trip = _gap(np.array(inverses), coords)
+    h_coords = np.array([h.coords for h in hats])
+    isometry = float(
+        np.abs(np.abs(h_coords).max(axis=1) - np.abs(coords).max(axis=1)).max()
     )
-    star = max((gelfand_transform(a.star()) - h.star()).norm() for a, h in pairs)
+    hat_products = []
+    for h, row in zip(hats, products):
+        for k, p in zip(hats, row):
+            t = gelfand_transform(AlgebraElement(algebra, p))
+            h._check_same(k)
+            t._check_same(h)
+            hat_products.append(t.coords)
+    mult = _gap(
+        np.array(hat_products),
+        (h_coords[:, None, :] * h_coords[None, :, :]).reshape(-1, algebra.dim),
+    )
+    hat_stars = []
+    for h, s in zip(hats, stars):
+        t = gelfand_transform(AlgebraElement(algebra, s))
+        t._check_same(h)
+        hat_stars.append(t.coords)
+    star = _gap(np.array(hat_stars), h_coords.conj())
     return EquivalenceReport(
         name,
         (

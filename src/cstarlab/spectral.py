@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _fro
 from .errors import (
     DomainError,
     NonFinite,
@@ -345,9 +345,7 @@ def operator_norm(matrix) -> float:
         raise ValueError("operator_norm expects a square matrix")
     if not np.all(np.isfinite(M)):
         raise NonFinite("matrix entries must be finite")
-    roots = _squaring_roots(
-        M.conj().T @ M, _hermitian_square, lambda B: float(np.linalg.norm(B))
-    )
+    roots = _squaring_roots(M.conj().T @ M, _hermitian_square, _fro)
     # k = 1 .. 63; stop at the first k >= 2 that agrees with k - 1
     for previous, estimate in itertools.pairwise(itertools.islice(roots, 1, 64)):
         if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):

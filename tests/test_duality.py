@@ -1,15 +1,19 @@
 """Functors between spaces and algebras, natural transformations, equivalence."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from cstarlab import (
+    AlgebraElement,
+    AlgebraMismatch,
     ContinuousMap,
     DualityViolation,
     FiniteSpace,
     NotACharacter,
+    SpaceMismatch,
     StarHomomorphism,
     functor_F_morphism,
     functor_F_object,
@@ -25,6 +29,11 @@ from cstarlab import (
     verify_naturality_tau,
 )
 from cstarlab import duality, gelfand
+from cstarlab.sampling import (
+    random_algebra,
+    random_normal_generator_algebra,
+    random_pullback_hom,
+)
 
 
 def space_of(n, prefix="x"):
@@ -368,3 +377,284 @@ def test_algebra_verifier_transforms_each_member_once(monkeypatch, d):
     assert verify_equivalence(make_function_algebra(space_of(d).points)).passed
     m = d + 2
     assert len(calls) == m * m + 2 * m
+
+
+# ---------------------------------------------------------------------------
+# the block verifiers against the element-wise ones they replaced
+
+
+def _reference_verify_algebra(algebra):
+    # one element, one _fresh, one subtraction and one norm per comparison;
+    # the transform and its inverse are read from the module, so a test that
+    # patches them there patches both verifiers
+    name = algebra.describe()
+    dual_gap = abs(duality.transform_target(algebra).dim - algebra.dim)
+    family = [algebra._indicator(i) for i in range(algebra.dim)]
+    family.append(algebra.unit())
+    family.append(
+        algebra._fresh(np.arange(1, algebra.dim + 1) * (0.7 - 0.3j) / algebra.dim)
+    )
+    transform, inverse = duality.gelfand_transform, duality.gelfand_inverse
+    pairs = [(a, transform(a)) for a in family]
+    round_trip = max((inverse(algebra, h) - a).norm() for a, h in pairs)
+    isometry = max(abs(h.norm() - a.norm()) for a, h in pairs)
+    mult = max((transform(a * b) - h * k).norm() for a, h in pairs for b, k in pairs)
+    star = max((transform(a.star()) - h.star()).norm() for a, h in pairs)
+    return duality.EquivalenceReport(
+        name,
+        (
+            duality.check("tau_surjective_dimension", name, dual_gap, 0.0),
+            duality.check("tau_injective_round_trip", name, round_trip),
+            duality.check("tau_isometry", name, isometry),
+            duality.check("tau_multiplicative", name, mult),
+            duality.check("tau_star_preserving", name, star),
+        ),
+    )
+
+
+def _reference_verify_naturality_tau(phi):
+    A, B = phi.source, phi.target
+    tau_A, tau_B = duality.tau(A), duality.tau(B)
+    double_dual = duality.functor_G_morphism(duality.functor_F_morphism(phi))
+    basis = [A._indicator(i) for i in range(A.dim)]
+    defect = max((double_dual(tau_A(u)) - tau_B(phi(u))).norm() for u in basis)
+    name = f"{A.describe()} -> {B.describe()}"
+    return duality.EquivalenceReport(
+        name, (duality.check("naturality_tau", name, defect),)
+    )
+
+
+def _outcome(verifier, subject, stand_in=None):
+    """A report as (subject, [(law, instance, defect bytes, verdict)]), or the
+    type and message of what the verifier raised; with a stand-in transform
+    or map, also its count of calls (reset first), which shows where the
+    verifier stopped."""
+    if stand_in is not None:
+        stand_in.calls = 0
+    try:
+        report = verifier(subject)
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome
+        outcome = type(err), str(err)
+    else:
+        records = [
+            (c.law, c.instance, struct.pack("<d", c.defect), c.passed)
+            for c in report.checks
+        ]
+        outcome = report.subject, records
+    return outcome, None if stand_in is None else stand_in.calls
+
+
+def _same_outcome(reference, verifier, subject, stand_in):
+    expected = _outcome(reference, subject, stand_in)
+    assert _outcome(verifier, subject, stand_in) == expected
+    return expected[0]
+
+
+def assert_algebra_verifier_matches_reference(algebra, stand_in=None):
+    return _same_outcome(_reference_verify_algebra, verify_equivalence, algebra, stand_in)
+
+
+def assert_tau_square_matches_reference(phi, stand_in=None):
+    return _same_outcome(_reference_verify_naturality_tau, verify_naturality_tau, phi, stand_in)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_algebra_verifier_matches_reference_on_function_algebras(d):
+    _, records = assert_algebra_verifier_matches_reference(
+        make_function_algebra(space_of(d).points)
+    )
+    assert all(passed for *_, passed in records)
+
+
+def test_algebra_verifier_matches_reference_on_matrix_algebras():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        algebra = random_normal_generator_algebra(rng, max_n=12, repeats=True)
+        _, records = assert_algebra_verifier_matches_reference(algebra)
+        assert all(passed for *_, passed in records)
+
+
+def _other_algebra(a):
+    """A function algebra of the right size that is not the transform target."""
+    return make_function_algebra(space_of(a.algebra.dim, "w").points)
+
+
+WRONG_TRANSFORMS = {
+    "rolled": lambda a: np.roll(a.coords, 1),
+    "reversed": lambda a: a.coords[::-1],
+    "conjugated": lambda a: a.coords.conj(),
+    "modulus": lambda a: np.abs(a.coords) + 0j,
+    "real part": lambda a: a.coords.real + 0j,
+    "squared": lambda a: a.coords * a.coords,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_TRANSFORMS))
+@pytest.mark.parametrize("side", ["transform", "inverse"])
+def test_algebra_verifier_matches_reference_on_wrong_transforms(monkeypatch, wrong, side):
+    values = WRONG_TRANSFORMS[wrong]
+    if side == "transform":
+        monkeypatch.setattr(
+            duality,
+            "gelfand_transform",
+            lambda a: AlgebraElement(gelfand.transform_target(a.algebra), values(a)),
+        )
+    else:
+        monkeypatch.setattr(
+            duality,
+            "gelfand_inverse",
+            lambda algebra, f: gelfand.gelfand_inverse(algebra, AlgebraElement(f.algebra, values(f))),
+        )
+    rng = np.random.default_rng(24)
+    algebras = [make_function_algebra(space_of(d).points) for d in (1, 2, 5, 12)]
+    algebras += [random_normal_generator_algebra(rng, max_n=8, repeats=True) for _ in range(6)]
+    failed = 0
+    for algebra in algebras:
+        _, records = assert_algebra_verifier_matches_reference(algebra)
+        failed += not all(passed for *_, passed in records)
+    assert failed  # each wrong map fails somewhere, on either side
+
+
+class WrongOnCalls:
+    """A stand-in transform that sends the results of the given calls
+    (counted from 1) to an algebra other than the transform target; the
+    count of calls shows where a verifier stopped."""
+
+    def __init__(self, wrong_calls):
+        self.wrong_calls = set(wrong_calls)
+        self.calls = 0
+
+    def __call__(self, a):
+        self.calls += 1
+        if self.calls in self.wrong_calls:
+            return AlgebraElement(_other_algebra(a), a.coords)
+        return gelfand.gelfand_transform(a)
+
+
+def _unchecked_inverse(algebra, f_hat):
+    return AlgebraElement(algebra, f_hat.coords)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+@pytest.mark.parametrize(
+    "phase", ["every call", "from the second member", "last member", "first product", "first star"]
+)
+@pytest.mark.parametrize("unchecked_inverse", [False, True])
+def test_algebra_verifier_raises_as_reference_for_a_wrong_target(
+    monkeypatch, d, phase, unchecked_inverse
+):
+    m = d + 2
+    calls = m + m * m + m  # members, products, stars
+    wrong_calls = {
+        "every call": range(1, calls + 1),
+        "from the second member": range(2, calls + 1),
+        "last member": [m],
+        "first product": [m + 1],
+        "first star": [m + m * m + 1],
+    }[phase]
+    transform = WrongOnCalls(wrong_calls)
+    monkeypatch.setattr(duality, "gelfand_transform", transform)
+    if unchecked_inverse:
+        monkeypatch.setattr(duality, "gelfand_inverse", _unchecked_inverse)
+    algebra = make_function_algebra(space_of(d).points)
+    kind, message = assert_algebra_verifier_matches_reference(algebra, transform)
+    if phase == "every call" and unchecked_inverse:
+        # one consistent wrong target that no inverse checks goes unseen
+        assert all(passed for *_, passed in message)
+    else:
+        assert kind in (AlgebraMismatch, SpaceMismatch), message
+
+
+def test_algebra_verifier_matches_reference_with_an_inverse_into_another_algebra(monkeypatch):
+    monkeypatch.setattr(
+        duality,
+        "gelfand_inverse",
+        lambda algebra, f_hat: AlgebraElement(_other_algebra(f_hat), f_hat.coords),
+    )
+    kind, message = assert_algebra_verifier_matches_reference(
+        make_function_algebra(space_of(4).points)
+    )
+    assert kind is AlgebraMismatch, message
+
+
+def test_algebra_verifier_accepts_a_target_equal_to_its_own(monkeypatch):
+    # an equal function algebra that is a different object still compares
+    monkeypatch.setattr(
+        duality,
+        "gelfand_transform",
+        lambda a: AlgebraElement(make_function_algebra(gelfand.transform_target(a.algebra).space), a.coords),
+    )
+    _, records = assert_algebra_verifier_matches_reference(make_function_algebra(space_of(5).points))
+    assert all(passed for *_, passed in records)
+
+
+def test_tau_square_matches_reference_on_homomorphisms():
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        A = random_algebra(rng, max_size=8)
+        B = random_algebra(rng, max_size=8)
+        _, records = assert_tau_square_matches_reference(random_pullback_hom(rng, A, B))
+        assert all(passed for *_, passed in records)
+
+
+class DriftingPullback:
+    """A pullback that is honest for its first ``honest_calls`` applications
+    (the probes F reads) and then reads every image one character over; its
+    results are scaled by ``scale`` and land in ``out``."""
+
+    def __init__(self, source, target, images, honest_calls, out=None, scale=1.0):
+        self.source, self.target = source, target
+        self.images = list(images)
+        self.honest_calls = honest_calls
+        self.out = target if out is None else out
+        self.scale = scale
+        self.calls = 0
+
+    def __call__(self, a):
+        self.calls += 1
+        shift = 0 if self.calls <= self.honest_calls else 1
+        picks = [(i + shift) % self.source.dim for i in self.images]
+        return self.out._fresh(self.scale * a.coords[picks])
+
+
+def _constant_F(psi):
+    # F replaced by a constant point map: a wrong double dual
+    source = functor_F_object(psi.target)
+    target = functor_F_object(psi.source)
+    return ContinuousMap(source, target, (target.points[0],) * source.size)
+
+
+def _relabelled_F(psi):
+    # F with the character space of phi's target relabelled: a double dual
+    # that lands in an algebra other than tau's target
+    source = FiniteSpace(tuple(f"r{i}" for i in range(psi.target.dim)))
+    target = functor_F_object(psi.source)
+    return ContinuousMap(source, target, tuple(target.points[i] for i in psi.character_images))
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (2, 3), (4, 2), (6, 6)])
+def test_tau_square_matches_reference_on_wrong_homomorphisms(monkeypatch, n_a, n_b):
+    rng = np.random.default_rng([26, n_a, n_b])
+    A = make_function_algebra(space_of(n_a, "a").points)
+    B = make_function_algebra(space_of(n_b, "b").points)
+    images = rng.integers(0, n_a, n_b).tolist()
+    # drifts after the probes: the square fails unless A has one point
+    drifting = DriftingPullback(A, B, images, honest_calls=n_a)
+    _, records = assert_tau_square_matches_reference(drifting, drifting)
+    assert all(passed for *_, passed in records) == (n_a == 1)
+    # lands in an algebra other than its declared target
+    other = make_function_algebra(space_of(n_b, "w").points)
+    elsewhere = DriftingPullback(A, B, images, n_a, out=other)
+    kind, _ = assert_tau_square_matches_reference(elsewhere, elsewhere)
+    assert kind is AlgebraMismatch
+    # linear but not multiplicative: F finds no character
+    doubling = DriftingPullback(A, B, images, n_a, scale=2.0)
+    kind, _ = assert_tau_square_matches_reference(doubling, doubling)
+    assert kind is NotACharacter
+    phi = make_star_homomorphism(images, A, B)
+    monkeypatch.setattr(duality, "functor_F_morphism", _constant_F)
+    _, records = assert_tau_square_matches_reference(phi)
+    assert all(passed for *_, passed in records) == (set(images) == {0})
+    monkeypatch.setattr(duality, "functor_F_morphism", _relabelled_F)
+    kind, _ = assert_tau_square_matches_reference(phi)
+    assert kind is AlgebraMismatch

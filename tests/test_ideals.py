@@ -399,3 +399,62 @@ def test_quotient_and_its_norm_share_one_index_pass(monkeypatch):
     assert projection.character_images == tuple(keys)
     assert ideal.zero_set == frozenset(keys)
     assert calls == [ideal.mask]
+
+
+def _reference_ideal_from_closed_set(algebra, closed_set):
+    # the per-key loop that the plain-int and plain-str fast paths replaced
+    mask = 0
+    for key in closed_set:
+        mask |= 1 << algebra.resolve_character_key(key)
+    return ideals.Ideal(algebra, mask)
+
+
+def _ideal_outcome(build, algebra, keys):
+    try:
+        return build(algebra, keys).mask
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome
+        return type(err), str(err)
+
+
+class LabelStr(str):
+    """A str subclass: not a plain str, so it takes the checked path."""
+
+
+class IndexInt(int):
+    """An int subclass other than bool."""
+
+
+def test_closed_set_keys_resolve_as_the_per_key_loop():
+    function_algebra = make_function_algebra(tuple(f"p{i}" for i in range(70)))
+    matrix_algebra = make_normal_generator_algebra(np.diag(np.arange(5.0)))
+    odd_keys = [
+        True,
+        False,
+        np.int64(3),
+        np.int32(0),
+        -1,
+        70,
+        5,
+        2**70,
+        "p3",
+        "p70",
+        "3",
+        "nope",
+        LabelStr("p4"),
+        LabelStr("2"),
+        IndexInt(1),
+        3.0,
+        None,
+    ]
+    rng = np.random.default_rng(41)
+    for algebra in (function_algebra, matrix_algebra):
+        labels = [algebra.character_label(i) for i in range(algebra.dim)]
+        cases = [[], list(range(algebra.dim)), labels, labels[::-1] + [0, 0]]
+        cases += [[key] for key in odd_keys]
+        for _ in range(200):
+            size = int(rng.integers(1, 8))
+            pool = list(range(algebra.dim)) + labels + odd_keys
+            cases.append([pool[k] for k in rng.integers(0, len(pool), size)])
+        for keys in cases:
+            expected = _ideal_outcome(_reference_ideal_from_closed_set, algebra, keys)
+            assert _ideal_outcome(ideal_from_closed_set, algebra, keys) == expected, keys

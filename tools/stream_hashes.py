@@ -4,7 +4,8 @@
 
 Runs from any directory and imports the package from the ``src/`` of the
 checkout it sits in, so running it in two checkouts and diffing the two
-outputs proves that a change moved no output byte.  Each line is
+outputs proves that a change moved no output byte.  BLAS runs on one
+thread, so the output does not depend on the number of CPUs.  Each line is
 ``sha256  name``.  The streams are ``verify`` in text and structured format
 for seeds {0, 1, 42, 7, 123} x ``--max-size`` {1, 4, 8, 12} (40 streams),
 and the five data commands in both formats on the two golden documents of
@@ -29,6 +30,13 @@ a 256 x 256 normal generator with 24 distinct eigenvalues, each used at
 least once (5); at dimension 512 the labels of a quotient's zero set, the
 coordinates of the projection of ``a`` and its quotient norm (5); and
 ``operator_norm`` of a materialized element at n {16, 64} (10).
+
+``verify`` folds each Gelfand-duality report into one record that shows
+only its largest defect, so the last streams are whole reports, each
+check's name, instance, defect repr and verdict: ``verify_equivalence`` on
+the spaces and the function algebras of {1, ..., 12} points (24) and on 12
+seeded normal generator algebras with repeated eigenvalues (12), and
+``verify_naturality_tau`` on 12 seeded homomorphisms (12).
 """
 
 from __future__ import annotations
@@ -37,10 +45,16 @@ import hashlib
 import importlib.util
 import io
 import itertools
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread before numpy loads: the n = 256 generators' eigenvectors
+# differ in their last bits between one and two OpenBLAS threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -57,6 +71,13 @@ from cstarlab import (  # noqa: E402
     perturbation_inverse,
     quotient,
     spectrum,
+    verify_equivalence,
+    verify_naturality_tau,
+)
+from cstarlab.sampling import (  # noqa: E402
+    random_algebra,
+    random_normal_generator_algebra,
+    random_pullback_hom,
 )
 from cstarlab.spectra import DEFAULT_MERGE_TOL  # noqa: E402
 
@@ -66,6 +87,8 @@ COEFFICIENTS = (0.5, -1 + 0.25j, 0.125j)
 SERIES_DIMS = (32, 64, 512)
 SPECTRUM_DIMS = (64, 512, 2048)
 NORM_DIMS = (16, 64)
+REPORT_SIZES = range(1, 13)
+REPORT_SEEDS = range(12)
 
 
 def _golden_cli_module():
@@ -187,13 +210,37 @@ def _spectrum_streams():
             yield f"operator_norm seed={seed} n={n}", repr(norm).encode()
 
 
+def _report_bytes(report) -> bytes:
+    lines = [report.subject]
+    lines += [f"{c.law} {c.instance} {c.defect!r} {c.passed}" for c in report.checks]
+    return "\n".join(lines).encode()
+
+
+def _report_streams():
+    """(name, bytes) for whole duality reports, in a fixed order."""
+    for size in REPORT_SIZES:
+        algebra = make_function_algebra(tuple(f"x{i}" for i in range(size)))
+        yield f"equivalence space size={size}", _report_bytes(verify_equivalence(algebra.space))
+        yield f"equivalence function size={size}", _report_bytes(verify_equivalence(algebra))
+    for seed in REPORT_SEEDS:
+        rng = np.random.default_rng([seed, 4])
+        algebra = random_normal_generator_algebra(rng, max_n=12, repeats=True)
+        yield f"equivalence normal seed={seed}", _report_bytes(verify_equivalence(algebra))
+    for seed in REPORT_SEEDS:
+        rng = np.random.default_rng([seed, 5])
+        source, target = random_algebra(rng, 8), random_algebra(rng, 8)
+        phi = random_pullback_hom(rng, source, target)
+        yield f"naturality_tau seed={seed}", _report_bytes(verify_naturality_tau(phi))
+
+
 def main() -> int:
     for name, config in _streams():
         out = io.StringIO()
         code = cli.run(config, out)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         print(f"{digest}  {name} exit={code}")
-    for name, stream in itertools.chain(_series_streams(), _spectrum_streams()):
+    streams = itertools.chain(_series_streams(), _spectrum_streams(), _report_streams())
+    for name, stream in streams:
         print(f"{hashlib.sha256(stream).hexdigest()}  {name}")
     return 0
 
