@@ -1,5 +1,5 @@
 """The ``verify`` half of the mutation kill table; run with
-``python3 -m pytest mutants`` (about 25 s on two workers, a minute on one).
+``python3 -m pytest mutants`` (about 25 s on two CPUs).
 
 Each line of ``mutants.jsonl`` is a plausible coding error in ``src/``: a
 file, an exact old text, its replacement, the expectation ("killed",
@@ -14,8 +14,7 @@ are the recorded ones.
 A failed record counts under its law name; a law that raised a
 :class:`CstarError` counts as ``raised <Error> in <law>``, and a run that
 ``run_suite`` did not finish as ``crash <Error>``.  A mutant that hits the
-cap ends in ``crash MemoryError``.  ``MUTANTS_WORKERS`` sets the number of
-children run at once (default 2).
+cap ends in ``crash MemoryError``.  Two children run at once.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ MUTANTS = [
 ]
 ADDRESS_SPACE_CAP = 2 << 30  # bytes
 CHILD_TIMEOUT_S = 300
+WORKERS = 2
 
 CHILD = """
 import json, resource, sys
@@ -105,8 +105,7 @@ def kill_table(tmp_path_factory) -> dict:
     """Every mutant's kills, and ``None``'s for the unmutated source."""
     subjects = [None, *MUTANTS]
     places = [tmp_path_factory.mktemp("mutant") for _ in subjects]
-    workers = int(os.environ.get("MUTANTS_WORKERS", "2"))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         results = list(pool.map(_kills, subjects, places))
     return {None if m is None else m["id"]: r for m, r in zip(subjects, results)}
 

@@ -20,9 +20,9 @@ only checks finiteness (an overflow or a NaN still raises
 :class:`NonFinite`).  Every element's array is read-only, which lets the
 Gelfand transform share it instead of copying it.  Three kinds of array are
 finite by construction and skip ``_fresh``: the indicators, the duality
-verifier's blocks of pairwise products and of stars of its family (every
-family value has modulus at most 1), and the coordinates that the Gelfand
-transform shares with its element.
+verifier's blocks of stars and of each member's products of its family
+(every family value has modulus at most 1), and the coordinates that the
+Gelfand transform shares with its element.
 """
 
 from __future__ import annotations
@@ -124,6 +124,26 @@ class CommutativeAlgebra:
         if isinstance(key, str) and key in self._label_index:
             return self._label_index[key]
         raise InvalidSubset(f"{key!r} does not name a character of {self!r}")
+
+    def character_mask(self, keys) -> int:
+        """The bit mask of the characters that ``keys`` name.
+
+        Each key resolves as :meth:`resolve_character_key` resolves it, and
+        the first key it rejects raises the same error.
+        """
+        # a plain int in range or a known plain str is resolved here; every
+        # other key, and every miss, goes through resolve_character_key
+        dim, mask = self.dim, 0
+        for key in keys:
+            kind = type(key)
+            if kind is int and 0 <= key < dim:
+                mask |= 1 << key
+                continue
+            i = self._label_index.get(key) if kind is str else None
+            if i is None:
+                i = self.resolve_character_key(key)
+            mask |= 1 << i
+        return mask
 
     @cached_property
     def _label_index(self) -> dict[str, int]:

@@ -8,10 +8,11 @@ precomposition by its index tuple.  The two natural transformations
 indicator elements rather than assumed, so an indexing bug shows up as a
 failed probe instead of a silently commuting square.
 
-The transform's round trip, isometry, multiplicativity and
-*-preservation are each measured once over a block of coordinates, one row
-per family member or pair, after checking the algebras of every pair as
-element arithmetic would.
+The transform's round trip, isometry and *-preservation are each measured
+once over a block of coordinates, one row per family member, and its
+multiplicativity over one member's products at a time, so no block is
+larger than the family by the dimension.  The algebras of every pair are
+checked first, as element arithmetic would check them.
 
 Every verifier returns an :class:`EquivalenceReport` of measured defects;
 a naturality report holds one record, ``naturality_tau`` or
@@ -287,8 +288,7 @@ def _verify_algebra(algebra: CommutativeAlgebra) -> EquivalenceReport:
     hats = [gelfand_transform(a) for a in family]
     coords = np.array([a.coords for a in family])
     # every value of the family has modulus at most 1, so the read-only
-    # blocks of pairwise products and of stars are finite by construction
-    products = _readonly(coords[:, None, :] * coords[None, :, :])
+    # blocks of stars and of each member's products are finite by construction
     stars = _readonly(coords.conj())
     # each comparison checks its two algebras, in the order and with the
     # error that subtracting the two elements would raise
@@ -302,17 +302,16 @@ def _verify_algebra(algebra: CommutativeAlgebra) -> EquivalenceReport:
     isometry = float(
         np.abs(np.abs(h_coords).max(axis=1) - np.abs(coords).max(axis=1)).max()
     )
-    hat_products = []
-    for h, row in zip(hats, products):
-        for k, p in zip(hats, row):
+    # one member's products at a time, so the blocks stay m-by-d
+    mult = 0.0
+    for i, h in enumerate(hats):
+        hat_products = []
+        for k, p in zip(hats, _readonly(coords[i] * coords)):
             t = gelfand_transform(AlgebraElement(algebra, p))
             h._check_same(k)
             t._check_same(h)
             hat_products.append(t.coords)
-    mult = _gap(
-        np.array(hat_products),
-        (h_coords[:, None, :] * h_coords[None, :, :]).reshape(-1, algebra.dim),
-    )
+        mult = max(mult, _gap(np.array(hat_products), h_coords[i] * h_coords))
     hat_stars = []
     for h, s in zip(hats, stars):
         t = gelfand_transform(AlgebraElement(algebra, s))

@@ -167,20 +167,7 @@ def ideal_from_closed_set(algebra: CommutativeAlgebra, closed_set) -> Ideal:
     function model) or canonical indices; anything unknown raises
     :class:`InvalidSubset`.
     """
-    # a plain int in range or a known plain str is resolved here; every
-    # other key, and every miss, raises from resolve_character_key
-    dim = algebra.dim
-    mask = 0
-    for key in closed_set:
-        kind = type(key)
-        if kind is int and 0 <= key < dim:
-            mask |= 1 << key
-            continue
-        i = algebra._label_index.get(key) if kind is str else None
-        if i is None:
-            i = algebra.resolve_character_key(key)
-        mask |= 1 << i
-    return Ideal(algebra, mask)
+    return Ideal(algebra, algebra.character_mask(closed_set))
 
 
 def closed_set_from_ideal(ideal: Ideal) -> tuple[str, ...]:

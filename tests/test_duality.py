@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,20 @@ def test_algebra_verifier_transforms_each_member_once(monkeypatch, d):
     assert verify_equivalence(make_function_algebra(space_of(d).points)).passed
     m = d + 2
     assert len(calls) == m * m + 2 * m
+
+
+def test_algebra_verifier_memory_grows_with_the_family_not_its_square():
+    # d = 128: a whole (m, m, d) block of products is 34 MB, and the
+    # verifier held four such blocks at once; one member's row is 0.3 MB
+    algebra = make_function_algebra(space_of(128).points)
+    tracemalloc.start()
+    try:
+        report = verify_equivalence(algebra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
