@@ -55,7 +55,6 @@ __all__ = [
     "make_normal_generator_algebra",
     "make_star_homomorphism",
     "restriction_homomorphism",
-    "DEFAULT_EIGENVALUE_MERGE_TOL",
 ]
 
 _NORMALITY_TOL = 1e-10
@@ -114,34 +113,33 @@ class CommutativeAlgebra:
 
     def resolve_character_key(self, key) -> int:
         """Turn a character label or index into a canonical index."""
-        if isinstance(key, bool):
-            raise InvalidSubset(f"cannot use {key!r} as a character key")
-        if isinstance(key, (int, np.integer)):
-            i = int(key)
-            if not 0 <= i < self.dim:
-                raise InvalidSubset(f"character index {i} out of range")
-            return i
-        if isinstance(key, str) and key in self._label_index:
-            return self._label_index[key]
-        raise InvalidSubset(f"{key!r} does not name a character of {self!r}")
+        return self.character_mask((key,)).bit_length() - 1
 
     def character_mask(self, keys) -> int:
         """The bit mask of the characters that ``keys`` name.
 
-        Each key resolves as :meth:`resolve_character_key` resolves it, and
-        the first key it rejects raises the same error.
+        A key is a character label or an integer index in range (a ``bool``
+        is not one); the first key that is neither raises
+        :class:`InvalidSubset`.
         """
-        # a plain int in range or a known plain str is resolved here; every
-        # other key, and every miss, goes through resolve_character_key
         dim, mask = self.dim, 0
         for key in keys:
-            kind = type(key)
-            if kind is int and 0 <= key < dim:
+            # the common keys first: an exact int, then a label
+            if type(key) is int and 0 <= key < dim:
                 mask |= 1 << key
                 continue
-            i = self._label_index.get(key) if kind is str else None
+            if isinstance(key, str):
+                i = self._label_index.get(key)
+            elif isinstance(key, bool):
+                raise InvalidSubset(f"cannot use {key!r} as a character key")
+            elif isinstance(key, (int, np.integer)):
+                i = int(key)
+                if not 0 <= i < dim:
+                    raise InvalidSubset(f"character index {i} out of range")
+            else:
+                i = None
             if i is None:
-                i = self.resolve_character_key(key)
+                raise InvalidSubset(f"{key!r} does not name a character of {self!r}")
             mask |= 1 << i
         return mask
 

@@ -42,7 +42,6 @@ from .spaces import ContinuousMap, FiniteSpace
 
 __all__ = [
     "CheckRecord",
-    "check",
     "EquivalenceReport",
     "functor_F_object",
     "functor_F_morphism",

@@ -9,6 +9,30 @@ from __future__ import annotations
 
 import math
 
+__all__ = [
+    "CstarError",
+    "InvalidSpace",
+    "InvalidPointMap",
+    "AlgebraMismatch",
+    "NotNormal",
+    "DecompositionFailure",
+    "NormTooLarge",
+    "Unconverged",
+    "PerturbationTooLarge",
+    "NotInvertible",
+    "SpectrumHit",
+    "Overflow",
+    "DomainError",
+    "SpaceMismatch",
+    "NotACharacter",
+    "DualityViolation",
+    "InvalidSubset",
+    "ImproperIdeal",
+    "NotContained",
+    "NonFinite",
+    "InvalidDocument",
+]
+
 
 class CstarError(Exception):
     """Base class for all errors raised by this package."""

@@ -29,6 +29,7 @@ __all__ = [
     "evaluate_character",
     "gelfand_transform",
     "gelfand_inverse",
+    "transform_target",
 ]
 
 

@@ -35,8 +35,6 @@ __all__ = [
     "load_document",
     "load_path",
     "dump_element",
-    "complex_pairs",
-    "document_to_json",
 ]
 
 

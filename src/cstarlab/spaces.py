@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidPointMap, InvalidSpace
 
+__all__ = ["FiniteSpace", "ContinuousMap"]
+
 
 @dataclass(frozen=True)
 class FiniteSpace:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["SpectrumSet", "dedup_points", "hausdorff_distance"]
+
 # also the default comparison tolerance of classify_element, run_suite and
 # the CLI's --tol, which merges spectra and compares defects alike
 DEFAULT_MERGE_TOL = 1e-9
