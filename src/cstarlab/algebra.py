@@ -201,7 +201,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         if not np.all(np.isfinite(M)):
             raise NonFinite("generator entries must be finite")
         n = M.shape[0]
-        # Everything below works on Ms = M 2^-k (see _scaled_commutator), in
+        # Everything below works on Ms = M 2^-k (see _power_of_two_scaled), in
         # units of 2^k; scaling by a power of two is exact, so each verdict
         # is the unscaled one wherever the unscaled arithmetic stayed in range,
         # and the cluster gap and the merge cutoff scale with M.
@@ -307,17 +307,22 @@ def _fro(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """k with 2^k above every |Re| and |Im| of M, Ms = M 2^-k, and the
-    Frobenius norm of Ms Ms* - Ms* Ms.
+def _power_of_two_scaled(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """k with 2^k above every |Re| and |Im| of M, and Ms = M 2^-k.
 
-    The largest entry of Ms is near 1, so no product overflows and none
-    underflows unless it is negligible next to |Ms|^2.  k >= -1022 keeps
-    2^-k finite.
+    The largest entry of Ms is near 1, so no product of two matrices like
+    Ms overflows and none underflows unless it is negligible next to
+    |Ms|^2.  k >= -1022 keeps 2^-k finite.
     """
     top = np.abs(M.ravel(order="K").view(np.float64)).max()  # largest |Re|, |Im|
     k = max(-1022, math.frexp(top)[1])
-    Ms = M * 2.0**-k
+    return k, M * 2.0**-k
+
+
+def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """k and Ms of :func:`_power_of_two_scaled`, and the Frobenius norm of
+    Ms Ms* - Ms* Ms."""
+    k, Ms = _power_of_two_scaled(M)
     Ms_star = Ms.conj().T
     return k, Ms, _fro(Ms @ Ms_star - Ms_star @ Ms)
 

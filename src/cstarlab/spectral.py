@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _fro
+from .algebra import AlgebraElement, _fro, _power_of_two_scaled
 from .errors import (
     DomainError,
     NonFinite,
@@ -339,18 +339,22 @@ def operator_norm(matrix) -> float:
     as the limit of Frobenius norms of repeated squares.  The Frobenius
     norm overestimates by at most a dimension factor that dies under the
     2^k-th root, so the iteration converges geometrically from above.
+    The squares are of Ms* Ms, Ms = M 2^-k with its largest entry near 1
+    (as construction scales a generator), so M* M neither overflows nor
+    underflows and the stopping rule is relative at every scale of M.
     """
     M = np.asarray(matrix, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError("operator_norm expects a square matrix")
     if not np.all(np.isfinite(M)):
         raise NonFinite("matrix entries must be finite")
-    roots = _squaring_roots(M.conj().T @ M, _hermitian_square, _fro)
+    k, Ms = _power_of_two_scaled(M)
+    roots = _squaring_roots(Ms.conj().T @ Ms, _hermitian_square, _fro)
     # k = 1 .. 63; stop at the first k >= 2 that agrees with k - 1
     for previous, estimate in itertools.pairwise(itertools.islice(roots, 1, 64)):
         if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
             break
-    return math.sqrt(estimate)
+    return math.ldexp(math.sqrt(estimate), k)
 
 
 def apply_polynomial(coefficients, a: AlgebraElement) -> AlgebraElement:

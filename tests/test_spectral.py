@@ -826,13 +826,16 @@ def _reference_hermitian_square(B):
 
 def _reference_operator_norm(matrix):
     M = np.asarray(matrix, dtype=complex)
+    # M 2^-k with 2^k the power of two above its largest |Re| or |Im|
+    k = max(-1022, math.frexp(max(np.abs(M.real).max(), np.abs(M.imag).max()))[1])
+    Ms = M * 2.0**-k
     roots = _reference_squaring_roots(
-        M.conj().T @ M, _reference_hermitian_square, lambda B: float(np.linalg.norm(B))
+        Ms.conj().T @ Ms, _reference_hermitian_square, lambda B: float(np.linalg.norm(B))
     )
     for previous, estimate in itertools.pairwise(itertools.islice(roots, 1, 64)):
         if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
             break
-    return math.sqrt(estimate)
+    return math.ldexp(math.sqrt(estimate), k)
 
 
 def _bits_or_error(f, *args):
@@ -844,8 +847,9 @@ def _bits_or_error(f, *args):
 
 
 def _squaring_matrices(rng, count):
-    """Random, Hermitian, diagonal, triangular at 2^-430 or 2^430 (whose
-    Frobenius norm overflows), and half-zero matrices, n from 1 to 69."""
+    """Random, Hermitian, diagonal, triangular at 2^-430 or 2^430 (where
+    an unscaled M* M would overflow or underflow), and half-zero matrices,
+    n from 1 to 69."""
     for k in range(count):
         n = int(rng.integers(1, 70))
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -864,12 +868,12 @@ def _squaring_matrices(rng, count):
 def test_operator_norm_matches_the_out_of_place_squaring_bit_for_bit():
     rng = np.random.default_rng(23)
     outcomes = set()
-    with np.errstate(over="ignore"):  # np.linalg.norm of the 2^430 squares
-        for M in _squaring_matrices(rng, 200):
-            want = _bits_or_error(_reference_operator_norm, M)
-            assert _bits_or_error(operator_norm, M) == want, M.shape
-            outcomes.add(want[0])
-    assert "Overflow" in outcomes and len(outcomes) > 100
+    for M in _squaring_matrices(rng, 200):
+        want = _bits_or_error(_reference_operator_norm, M)
+        assert _bits_or_error(operator_norm, M) == want, M.shape
+        outcomes.add(want[0])
+    # the 2^430 matrices have finite norms, and the scaled squares reach them
+    assert "Overflow" not in outcomes and len(outcomes) > 100
 
 
 def test_radius_limit_trace_matches_the_out_of_place_squaring_bit_for_bit():
@@ -903,6 +907,28 @@ def test_operator_norm_matches_svd_oracle():
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         oracle = float(np.linalg.svd(M, compute_uv=False)[0])
         assert operator_norm(M) == pytest.approx(oracle, abs=1e-8 * (1 + oracle))
+
+
+def test_operator_norm_is_relative_at_every_scale():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sigma = float(np.linalg.svd(G, compute_uv=False)[0])
+        for e in range(-1000, 1001, 25):
+            c = 2.0**e
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = operator_norm(c * G)
+            assert abs(got / (c * sigma) - 1.0) <= 1e-13, (seed, e)
+
+
+def test_operator_norm_of_a_tiny_generator_is_its_element_norm():
+    algebra = make_normal_generator_algebra(np.diag([1e-90, 2e-90]))
+    a = algebra.generator_element()
+    got = operator_norm(algebra.materialize(a))
+    assert got == pytest.approx(a.norm(), rel=1e-13)
+    assert a.norm() == 2e-90
 
 
 def test_matrix_element_norm_agrees_with_operator_norm():
