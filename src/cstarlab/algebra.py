@@ -28,6 +28,7 @@ Gelfand transform shares with its element.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +66,17 @@ DEFAULT_EIGENVALUE_MERGE_TOL = 1e-8
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _character_index(i, error: type[Exception]) -> int:
+    """``i`` as an int; a ``bool``, or a value that ``operator.index``
+    refuses (such as 1.7), raises ``error``."""
+    try:
+        if not isinstance(i, bool):
+            return operator.index(i)
+    except TypeError:
+        pass
+    raise error(f"character index {i!r} is not an integer")
 
 
 class CommutativeAlgebra:
@@ -435,7 +447,9 @@ class StarHomomorphism:
     character_images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(int(i) for i in self.character_images)
+        images = tuple(
+            _character_index(i, InvalidPointMap) for i in self.character_images
+        )
         object.__setattr__(self, "character_images", images)
         if len(images) != self.target.dim:
             raise InvalidPointMap(

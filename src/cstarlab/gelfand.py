@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraElement, CommutativeAlgebra, FunctionAlgebra
+from .algebra import (
+    AlgebraElement,
+    CommutativeAlgebra,
+    FunctionAlgebra,
+    _character_index,
+)
 from .errors import AlgebraMismatch, SpaceMismatch
 from .spaces import FiniteSpace
 
@@ -41,8 +46,9 @@ class Character:
     index: int
 
     def __post_init__(self):
-        if not 0 <= self.index < self.algebra.dim:
-            raise ValueError(f"character index {self.index} out of range")
+        i = _character_index(self.index, ValueError)
+        if not 0 <= i < self.algebra.dim:
+            raise ValueError(f"character index {i} out of range")
 
     @property
     def label(self) -> str:

@@ -50,6 +50,12 @@ ROWS = {
     "character-index": (
         lambda: Character(A, 3), ValueError, "character index 3 out of range"
     ),
+    "character-bool-index": (
+        lambda: Character(A, True), ValueError, "character index True is not an integer"
+    ),
+    "character-float-index": (
+        lambda: Character(A, 1.0), ValueError, r"character index 1\.0 is not an integer"
+    ),
     "character-key-index": (
         lambda: A.resolve_character_key(3), InvalidSubset, "character index 3 out of range"
     ),
@@ -83,6 +89,16 @@ ROWS = {
         lambda: StarHomomorphism(A, B, (0,)),
         InvalidPointMap,
         "need 2 character images, got 1",
+    ),
+    "hom-fractional-image": (
+        lambda: StarHomomorphism(A, B, (1.7, 0)),
+        InvalidPointMap,
+        r"character index 1\.7 is not an integer",
+    ),
+    "hom-bool-image": (
+        lambda: StarHomomorphism(A, B, (0, True)),
+        InvalidPointMap,
+        "character index True is not an integer",
     ),
     "hom-foreign-element": (
         lambda: PHI(B.unit()), AlgebraMismatch, "does not belong to the source algebra"
@@ -149,4 +165,7 @@ def test_bad_call_raises(call, exception, message):
 
 def test_calls_at_the_edge_of_validation_succeed():
     assert F("q") == "r"
+    images = StarHomomorphism(A, B, (np.int64(2), np.int32(0))).character_images
+    assert images == (2, 0) and all(type(i) is int for i in images)
+    assert Character(A, np.int64(2))(A.element([1, 2, 3])) == 3
     assert ideal_from_closed_set(A, ()).contains(A.unit())
