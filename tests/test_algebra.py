@@ -797,3 +797,38 @@ def test_indicators_are_read_only():
             with pytest.raises(ValueError):
                 u.coords[i] = 2.0
             assert u.coords.tobytes() == np.eye(algebra.dim, dtype=complex)[i].tobytes()
+
+
+def test_element_and_homomorphism_reprs():
+    A = make_function_algebra(space_of(8).points)
+    a = A.element(np.arange(8) * (1 - 0.5j))
+    assert repr(a) == (
+        "<element [0+0j, 1-0.5j, 2-1j, 3-1.5j, 4-2j, 5-2.5j, ...] "
+        "of C({x0,x1,x2,x3,x4,x5,x6,x7})>"
+    )
+    B = make_function_algebra(("p", "q"))
+    assert repr(B.element([1.5, -2j])) == "<element [1.5+0j, -0-2j] of C({p,q})>"
+    phi = restriction_homomorphism(A, ("x3", "x1"))
+    assert repr(phi) == (
+        "StarHomomorphism(C({x0,x1,x2,x3,x4,x5,x6,x7}) -> C({x3,x1}), images=(3, 1))"
+    )
+
+
+def test_element_times_a_non_number_is_a_type_error():
+    a = make_function_algebra(("p", "q")).unit()
+    with pytest.raises(TypeError):
+        a * "x"
+    with pytest.raises(TypeError):
+        "x" * a
+
+
+def test_construction_rejects_a_change_of_basis_that_is_not_unitary(monkeypatch):
+    diagonalize = cstarlab.algebra._joint_diagonalize
+
+    def doubled(M):
+        U, eigs = diagonalize(M)
+        return 2 * U, eigs
+
+    monkeypatch.setattr(cstarlab.algebra, "_joint_diagonalize", doubled)
+    with pytest.raises(DecompositionFailure, match="change of basis is not unitary"):
+        make_normal_generator_algebra(np.diag([1.0, 2.0]))

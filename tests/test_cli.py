@@ -571,3 +571,11 @@ def test_module_entry_point_runs_end_to_end():
     )
     assert proc.returncode == 0
     assert "lambda[2] = 3" in proc.stdout
+
+
+def test_main_parses_a_comma_separated_zero_set(capsys):
+    assert cli.main(["quotient", "--inline", FUNC, "--zero-set", " p, ,q"]) == 0
+    out = capsys.readouterr().out
+    assert "quotient dimension: 2" in out
+    assert "zero set: p, q" in out
+    assert "quotient norm: 5" in out

@@ -13,6 +13,7 @@ from cstarlab import (
     ContinuousMap,
     DualityViolation,
     FiniteSpace,
+    NonFinite,
     NotACharacter,
     SpaceMismatch,
     StarHomomorphism,
@@ -501,6 +502,7 @@ WRONG_TRANSFORMS = {
     "modulus": lambda a: np.abs(a.coords) + 0j,
     "real part": lambda a: a.coords.real + 0j,
     "squared": lambda a: a.coords * a.coords,
+    "infinite": lambda a: a.coords + np.inf,
 }
 
 
@@ -525,8 +527,9 @@ def test_algebra_verifier_matches_reference_on_wrong_transforms(monkeypatch, wro
     algebras += [random_normal_generator_algebra(rng, max_n=8, repeats=True) for _ in range(6)]
     failed = 0
     for algebra in algebras:
-        _, records = assert_algebra_verifier_matches_reference(algebra)
-        failed += not all(passed for *_, passed in records)
+        subject, records = assert_algebra_verifier_matches_reference(algebra)
+        # a non-finite transform raises NonFinite on both sides
+        failed += subject is NonFinite or not all(passed for *_, passed in records)
     assert failed  # each wrong map fails somewhere, on either side
 
 

@@ -458,3 +458,8 @@ def test_closed_set_keys_resolve_as_the_per_key_loop():
         for keys in cases:
             expected = _ideal_outcome(_reference_ideal_from_closed_set, algebra, keys)
             assert _ideal_outcome(ideal_from_closed_set, algebra, keys) == expected, keys
+
+
+def test_ideal_repr_names_its_zero_set_in_index_order():
+    algebra = make_function_algebra(("a", "b", "c", "d"))
+    assert repr(ideal_from_closed_set(algebra, ("d", "b"))) == "Ideal(vanishing on {b,d})"

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cstarlab import (
+    CommutativeAlgebra,
     FunctionAlgebra,
     InvalidDocument,
     NotNormal,
@@ -184,3 +185,14 @@ def test_complex_pairs_match_the_scalar_encoding():
     assert all(type(x) is float for pair in pairs for x in pair)
     assert json.dumps(pairs) == json.dumps([[z.real, z.imag] for z in values.tolist()])
     assert complex_pairs(np.zeros((2, 2))) == [[0.0, 0.0]] * 4
+
+
+def test_dump_element_rejects_an_unknown_algebra_model():
+    class Unknown(CommutativeAlgebra):
+        dim = 1
+
+        def describe(self):
+            return "Unknown()"
+
+    with pytest.raises(TypeError, match=r"cannot serialize elements of Unknown\(\)"):
+        dump_element(Unknown().unit())

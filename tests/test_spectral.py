@@ -1119,3 +1119,10 @@ def test_classification_tolerance_is_respected():
     a = algebra_of(2).element([1.0, 1.0 + 5e-7])
     assert not classify_element(a, tol=1e-9).flags["projection"]
     assert classify_element(a, tol=1e-5).flags["projection"]
+
+
+def test_spectrum_set_size_iteration_and_repr():
+    s = SpectrumSet.from_values([1, -2j, 3, 1], 1e-9)
+    assert s.size == 3
+    assert list(s) == [-2j, 1 + 0j, 3 + 0j]
+    assert repr(s) == "SpectrumSet({-0-2j, 1+0j, 3+0j}, merge_tol=1e-09)"
