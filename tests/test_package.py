@@ -1,4 +1,5 @@
-"""The package namespace: each data module's ``__all__``, re-exported once."""
+"""The package namespace is each data module's ``__all__``, re-exported once;
+``cli`` and ``verify`` are not among the data modules."""
 
 import types
 
@@ -33,9 +34,3 @@ def test_public_names_are_the_union_of_the_data_modules_all():
         for name in module.__all__:
             assert getattr(cstarlab, name) is getattr(module, name)
 
-
-def test_cli_and_verify_are_not_re_exported():
-    from cstarlab import cli, verify
-
-    for module in (cli, verify):
-        assert not set(module.__all__) & set(vars(cstarlab))

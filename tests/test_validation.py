@@ -165,7 +165,10 @@ def test_bad_call_raises(call, exception, message):
 
 def test_calls_at_the_edge_of_validation_succeed():
     assert F("q") == "r"
+    assert ideal_from_closed_set(A, ()).contains(A.unit())
+
+
+def test_numpy_integer_character_indices_are_accepted():
     images = StarHomomorphism(A, B, (np.int64(2), np.int32(0))).character_images
     assert images == (2, 0) and all(type(i) is int for i in images)
     assert Character(A, np.int64(2))(A.element([1, 2, 3])) == 3
-    assert ideal_from_closed_set(A, ()).contains(A.unit())
