@@ -11,9 +11,11 @@ Each loop is written once.  ``_geometric_sum`` sums the Neumann series for
 residual of every partial sum, but a block of partial sums at a time, and
 the length of each block follows the decay measured so far.
 ``_squaring_roots`` yields Gelfand's norm(x^(2^k))^(1/2^k) for
-``spectral_radius_limit`` and ``operator_norm``.  ``classify_element``
-takes its four defects on the one coordinate array, where a defect too
-large for a float reads inf.
+``spectral_radius_limit``.  ``operator_norm`` needs no limit: by the
+C*-identity it is the root of the largest eigenvalue of the Hermitian
+M* M, one symmetric eigenvalue solve and never an SVD, so the SVD stays an
+independent oracle.  ``classify_element`` takes its four defects on the one
+coordinate array, where a defect too large for a float reads inf.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _fro, _power_of_two_scaled
+from .algebra import AlgebraElement, _power_of_two_scaled
 from .errors import (
     DomainError,
     NonFinite,
@@ -283,24 +285,25 @@ def spectral_radius_exact(a: AlgebraElement) -> float:
     return a.norm()
 
 
-def _squaring_roots(x, square, size):
-    """Yield size(x^(2^k))^(1/2^k) for k = 0, 1, ...  Each square is divided
-    by its size and the scale is kept in log space; a square of size 0 or of
-    non-finite size raises :class:`Overflow`, and an x of size 0 yields 0s.
-    ``square`` returns a new array, which is divided in place; x is not."""
-    s = size(x)
+def _squaring_roots(x):
+    """Yield max|x^(2^k)|^(1/2^k) for k = 0, 1, ...  Each square is divided
+    by its largest modulus and the scale is kept in log space; a square of
+    largest modulus 0 or non-finite raises :class:`Overflow`, and an x of
+    norm 0 yields 0s.  Each square is a new array, divided in place; x is
+    not."""
+    s = float(np.abs(x).max())
     yield s
     if s == 0.0:
         yield from itertools.repeat(0.0)
     log_scale = math.log(s)
     x = x / s
     for k in itertools.count(1):
-        x = square(x)
-        m = size(x)
+        x = x * x
+        m = float(np.abs(x).max())
         if m == 0.0 or not math.isfinite(m):
             raise Overflow("repeated squaring left the floating range")
         # numpy's x / m is Smith's division, (Re + Im * 0) * fl(1/m) per part:
-        # in place, only a zero's sign differs, and no size reads that
+        # in place, only a zero's sign differs, and no modulus reads that
         parts = x.view(np.float64)
         parts *= 1.0 / m
         log_scale = 2.0 * log_scale + math.log(m)
@@ -317,31 +320,18 @@ def spectral_radius_limit(a: AlgebraElement, n_max: int = 20) -> RadiusEstimate:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    roots = _squaring_roots(
-        a.coords, lambda b: b * b, lambda b: float(np.abs(b).max())
-    )
-    trace = tuple(itertools.islice(roots, n_max + 1))
+    trace = tuple(itertools.islice(_squaring_roots(a.coords), n_max + 1))
     return RadiusEstimate(trace[-1], trace)
-
-
-def _hermitian_square(B: np.ndarray) -> np.ndarray:
-    S = B @ B  # (S + S*) / 2, halved in place as in _squaring_roots
-    S += S.conj().T
-    parts = S.view(np.float64)
-    parts *= 0.5
-    return S
 
 
 def operator_norm(matrix) -> float:
     """Largest singular value of a raw square complex matrix.
 
-    Computed as sqrt of the spectral radius of M* M, with the radius taken
-    as the limit of Frobenius norms of repeated squares.  The Frobenius
-    norm overestimates by at most a dimension factor that dies under the
-    2^k-th root, so the iteration converges geometrically from above.
-    The squares are of Ms* Ms, Ms = M 2^-k with its largest entry near 1
-    (as construction scales a generator), so M* M neither overflows nor
-    underflows and the stopping rule is relative at every scale of M.
+    By the C*-identity ||M||^2 = ||M* M||, and M* M is Hermitian, so its
+    norm is its largest eigenvalue: one Hermitian eigenvalue solve, no SVD.
+    It is taken on Ms* Ms, Ms = M 2^-k with its largest entry near 1 (as
+    construction scales a generator), so the product neither overflows nor
+    underflows, and 2^k times the root is relative to ||M|| at every scale.
     """
     M = np.asarray(matrix, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
@@ -349,12 +339,8 @@ def operator_norm(matrix) -> float:
     if not np.all(np.isfinite(M)):
         raise NonFinite("matrix entries must be finite")
     k, Ms = _power_of_two_scaled(M)
-    roots = _squaring_roots(Ms.conj().T @ Ms, _hermitian_square, _fro)
-    # k = 1 .. 63; stop at the first k >= 2 that agrees with k - 1
-    for previous, estimate in itertools.pairwise(itertools.islice(roots, 1, 64)):
-        if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
-            break
-    return math.ldexp(math.sqrt(estimate), k)
+    top = np.linalg.eigvalsh(Ms.conj().T @ Ms)[-1]
+    return math.ldexp(math.sqrt(max(0.0, top)), k)
 
 
 def apply_polynomial(coefficients, a: AlgebraElement) -> AlgebraElement:

@@ -44,6 +44,7 @@ from cstarlab import (
 )
 from cstarlab import spectra
 from cstarlab.algebra import CommutativeAlgebra
+from cstarlab.sampling import random_unitary
 from cstarlab.spectra import _CHAIN_CUTOFF
 from cstarlab.spectral import _geometric_sum
 
@@ -819,33 +820,6 @@ def _reference_squaring_roots(x, square, size):
         yield math.exp(log_scale / 2.0**k)
 
 
-def _reference_hermitian_square(B):
-    S = B @ B
-    return (S + S.conj().T) / 2
-
-
-def _reference_operator_norm(matrix):
-    M = np.asarray(matrix, dtype=complex)
-    # M 2^-k with 2^k the power of two above its largest |Re| or |Im|
-    k = max(-1022, math.frexp(max(np.abs(M.real).max(), np.abs(M.imag).max()))[1])
-    Ms = M * 2.0**-k
-    roots = _reference_squaring_roots(
-        Ms.conj().T @ Ms, _reference_hermitian_square, lambda B: float(np.linalg.norm(B))
-    )
-    for previous, estimate in itertools.pairwise(itertools.islice(roots, 1, 64)):
-        if abs(estimate - previous) <= 1e-13 * max(1.0, estimate):
-            break
-    return math.ldexp(math.sqrt(estimate), k)
-
-
-def _bits_or_error(f, *args):
-    try:
-        result = f(*args)
-    except Overflow as err:
-        return "Overflow", str(err)
-    return [x.hex() for x in np.atleast_1d(result).tolist()]
-
-
 def _squaring_matrices(rng, count):
     """Random, Hermitian, diagonal, triangular at 2^-430 or 2^430 (where
     an unscaled M* M would overflow or underflow), and half-zero matrices,
@@ -865,15 +839,32 @@ def _squaring_matrices(rng, count):
         yield M
 
 
-def test_operator_norm_matches_the_out_of_place_squaring_bit_for_bit():
+def test_operator_norm_matches_the_svd_on_every_kind_and_scale():
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(23)
-    outcomes = set()
     for M in _squaring_matrices(rng, 200):
-        want = _bits_or_error(_reference_operator_norm, M)
-        assert _bits_or_error(operator_norm, M) == want, M.shape
-        outcomes.add(want[0])
-    # the 2^430 matrices have finite norms, and the scaled squares reach them
-    assert "Overflow" not in outcomes and len(outcomes) > 100
+        n = M.shape[0]
+        sigma = float(np.linalg.svd(M, compute_uv=False)[0])
+        # an Overflow or any warning fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = operator_norm(M)
+        assert abs(got - sigma) <= 4 * n * eps * sigma, (n, got, sigma)
+    for n in (1, 5, 69):
+        got = operator_norm(np.zeros((n, n)))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("multiplicity", [2, 4, 8])
+def test_operator_norm_of_a_repeated_top_singular_value(multiplicity):
+    # a stopping rule on successive estimates stalls here, since the
+    # error of a Frobenius estimate only halves per squaring
+    n, eps = 12, np.finfo(float).eps
+    for seed in range(20):
+        rng = np.random.default_rng([multiplicity, seed])
+        s = np.concatenate([np.ones(multiplicity), rng.uniform(0, 0.9, n - multiplicity)])
+        M = (random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T
+        assert abs(operator_norm(M) - 1.0) <= 4 * n * eps, seed
 
 
 def test_radius_limit_trace_matches_the_out_of_place_squaring_bit_for_bit():
