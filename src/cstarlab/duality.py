@@ -6,7 +6,8 @@ other sends a space to its function algebra and a point map to
 precomposition by its index tuple.  The two natural transformations
 (evaluation into the double dual on each side) are computed by probing with
 indicator elements rather than assumed, so an indexing bug shows up as a
-failed probe instead of a silently commuting square.
+failed probe instead of a silently commuting square; mu, too, reads its
+probe in one pass, from the transforms of the indicators.
 
 The transform's round trip, isometry and *-preservation are each measured
 once over a block of coordinates, one row per family member, and its
@@ -37,7 +38,7 @@ from .algebra import (
     _readonly,
 )
 from .errors import DualityViolation, NonFinite, NotACharacter
-from .gelfand import characters, gelfand_inverse, gelfand_transform, transform_target
+from .gelfand import gelfand_inverse, gelfand_transform, transform_target
 from .spaces import ContinuousMap, FiniteSpace
 
 __all__ = [
@@ -157,25 +158,27 @@ def mu(space: FiniteSpace) -> ContinuousMap:
     """Evaluation of a space inside the character space of its functions.
 
     Each point goes to the unique character sending that point's indicator
-    function to 1.  The probe finding no character, several, or a
-    non-bijective overall assignment raises :class:`DualityViolation`.
+    function to 1.  The transform of an indicator is every character's value
+    on it, so the probe is read in one pass, one row per point.  A row with
+    no hit or several, or a non-bijective overall assignment, raises
+    :class:`DualityViolation`, the first failing point first.
     """
     algebra = FunctionAlgebra(space)
-    chars = characters(algebra)
-    double_dual = chars.as_finite_space()
-    assignment = []
-    for i in range(space.size):
-        probe = algebra._indicator(i)
-        hits = [
-            j for j, chi in enumerate(chars) if abs(chi(probe) - 1.0) <= PROBE_TOL
-        ]
-        if len(hits) != 1:
-            raise DualityViolation(
-                f"indicator of point {space.points[i]!r} is sent to 1 by "
-                f"{len(hits)} characters; expected exactly one"
-            )
-        assignment.append(double_dual.points[hits[0]])
-    result = ContinuousMap(space, double_dual, tuple(assignment))
+    double_dual = functor_F_object(algebra)
+    values = np.array(
+        [gelfand_transform(algebra._indicator(i)).coords for i in range(space.size)]
+    )
+    hits = np.abs(values - 1.0) <= PROBE_TOL
+    counts = hits.sum(axis=1)
+    failing = np.flatnonzero(counts != 1)
+    if failing.size:
+        i = int(failing[0])
+        raise DualityViolation(
+            f"indicator of point {space.points[i]!r} is sent to 1 by "
+            f"{counts[i]} characters; expected exactly one"
+        )
+    assignment = tuple(double_dual.points[j] for j in hits.argmax(axis=1).tolist())
+    result = ContinuousMap(space, double_dual, assignment)
     if not result.is_bijection():
         raise DualityViolation("point-to-character map is not a bijection")
     return result

@@ -217,27 +217,22 @@ def test_mu_matches_points_to_their_evaluation_characters():
     assert m.assignment == ("0", "1", "2")
 
 
+def _collapsed_transform(a):
+    # a degenerate character enumeration: every character is the first one
+    target = gelfand.transform_target(a.algebra)
+    return AlgebraElement(target, a.coords[np.zeros(a.algebra.dim, dtype=int)])
+
+
 def test_mu_detects_degenerate_character_enumeration(monkeypatch):
     X = FiniteSpace(("p", "q"))
-    A = functor_G_object(X)
-    first = gelfand.characters(A).members[0]
-
-    def collapsed(algebra):
-        return gelfand.CharacterSpace(algebra=algebra, members=(first, first))
-
-    monkeypatch.setattr(duality, "characters", collapsed)
+    monkeypatch.setattr(duality, "gelfand_transform", _collapsed_transform)
     with pytest.raises(DualityViolation):
         duality.mu(X)
 
 
 def test_equivalence_reports_degenerate_character_enumeration(monkeypatch):
     X = FiniteSpace(("p", "q"))
-    first = gelfand.characters(functor_G_object(X)).members[0]
-
-    def collapsed(algebra):
-        return gelfand.CharacterSpace(algebra=algebra, members=(first, first))
-
-    monkeypatch.setattr(duality, "characters", collapsed)
+    monkeypatch.setattr(duality, "gelfand_transform", _collapsed_transform)
     report = verify_equivalence(X)
     assert not report.passed
     assert report.max_defect == 1.0
@@ -245,21 +240,76 @@ def test_equivalence_reports_degenerate_character_enumeration(monkeypatch):
 
 
 def test_mu_rejects_an_assignment_that_is_not_a_bijection(monkeypatch):
-    # f sends both indicators to 1 and g sends both to 0, so each point has
-    # exactly one hit, f, and the assignment is not injective; real
-    # characters cannot do this, so only a stand-in reaches the guard
+    # the stand-in characters are f, the sum, and g, zero: f sends both
+    # indicators to 1 and g sends both to 0, so each point has exactly one
+    # hit, f, and the assignment is not injective; real characters cannot
+    # do this, so only a stand-in reaches the guard
     X = FiniteSpace(("p", "q"))
 
-    def stand_in(algebra):
-        f_and_g = (lambda a: complex(a.coords.sum()), lambda a: 0j)
-        return gelfand.CharacterSpace(algebra=algebra, members=f_and_g)
+    def f_and_g(a):
+        target = gelfand.transform_target(a.algebra)
+        return AlgebraElement(target, np.array([a.coords.sum(), 0j]))
 
-    monkeypatch.setattr(duality, "characters", stand_in)
+    monkeypatch.setattr(duality, "gelfand_transform", f_and_g)
     with pytest.raises(DualityViolation, match="^point-to-character map is not a bijection$"):
         duality.mu(X)
     report = verify_equivalence(X)
     assert report.max_defect == 1.0
     assert [c.law for c in report.checks if not c.passed] == ["mu_bijection"]
+
+
+def _reference_mu(space):
+    """mu as an element-wise loop: every character on every indicator."""
+    algebra = functor_G_object(space)
+    chars = gelfand.characters(algebra)
+    double_dual = chars.as_finite_space()
+    assignment = []
+    for i in range(space.size):
+        probe = algebra._indicator(i)
+        hits = [j for j, chi in enumerate(chars) if abs(chi(probe) - 1.0) <= 1e-10]
+        if len(hits) != 1:
+            raise DualityViolation(
+                f"indicator of point {space.points[i]!r} is sent to 1 by "
+                f"{len(hits)} characters; expected exactly one"
+            )
+        assignment.append(double_dual.points[hits[0]])
+    result = ContinuousMap(space, double_dual, tuple(assignment))
+    if not result.is_bijection():
+        raise DualityViolation("point-to-character map is not a bijection")
+    return result
+
+
+# stand-in probes for point i of a d-point space, seen by mu and the loop alike
+WRONG_PROBES = {
+    "honest": lambda A, i: A.element(np.eye(A.dim)[i]),
+    "unit": lambda A, i: A.unit(),
+    "zero": lambda A, i: A.zero(),
+    "first": lambda A, i: A.element(np.eye(A.dim)[0]),
+    "rolled": lambda A, i: A.element(np.eye(A.dim)[(i + 1) % A.dim]),
+    "two points": lambda A, i: A.element(np.eye(A.dim)[i] + np.eye(A.dim)[-1]),
+    "near one": lambda A, i: A.element(np.eye(A.dim)[i] * (1 + 2e-10)),
+    "last wrong": lambda A, i: A.element(np.eye(A.dim)[i] * (i + 1 < A.dim)),
+}
+
+
+def _mu_outcome(f, space):
+    try:
+        return f(space)
+    except DualityViolation as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("probe", WRONG_PROBES)
+def test_mu_matches_the_element_wise_loop(monkeypatch, probe):
+    monkeypatch.setattr(
+        duality.FunctionAlgebra, "_indicator", lambda A, i: WRONG_PROBES[probe](A, i)
+    )
+    for d in range(1, 13):
+        X = space_of(d)
+        want = _mu_outcome(_reference_mu, X)
+        assert _mu_outcome(duality.mu, X) == want, d
+        if probe == "honest":
+            assert want == ContinuousMap(X, want.target, tuple(map(str, range(d))))
 
 
 def test_space_verifier_computes_mu_once(monkeypatch):
