@@ -857,8 +857,8 @@ def test_operator_norm_matches_the_svd_on_every_kind_and_scale():
 
 @pytest.mark.parametrize("multiplicity", [2, 4, 8])
 def test_operator_norm_of_a_repeated_top_singular_value(multiplicity):
-    # a stopping rule on successive estimates stalls here, since the
-    # error of a Frobenius estimate only halves per squaring
+    # iterations on M* M converge slowly when its top eigenvalue repeats;
+    # one eigenvalue solve does not depend on the gap
     n, eps = 12, np.finfo(float).eps
     for seed in range(20):
         rng = np.random.default_rng([multiplicity, seed])
