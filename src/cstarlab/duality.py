@@ -6,8 +6,8 @@ other sends a space to its function algebra and a point map to
 precomposition by its index tuple.  The two natural transformations
 (evaluation into the double dual on each side) are computed by probing with
 indicator elements rather than assumed, so an indexing bug shows up as a
-failed probe instead of a silently commuting square; mu, too, reads its
-probe in one pass, from the transforms of the indicators.
+failed probe instead of a silently commuting square; mu evaluates each
+character once, on one function that tells the points apart.
 
 The transform's round trip, isometry and *-preservation are each measured
 once over a block of coordinates, one row per family member, and its
@@ -38,7 +38,7 @@ from .algebra import (
     _readonly,
 )
 from .errors import DualityViolation, NonFinite, NotACharacter
-from .gelfand import gelfand_inverse, gelfand_transform, transform_target
+from .gelfand import characters, gelfand_inverse, gelfand_transform, transform_target
 from .spaces import ContinuousMap, FiniteSpace
 
 __all__ = [
@@ -158,17 +158,20 @@ def mu(space: FiniteSpace) -> ContinuousMap:
     """Evaluation of a space inside the character space of its functions.
 
     Each point goes to the unique character sending that point's indicator
-    function to 1.  The transform of an indicator is every character's value
-    on it, so the probe is read in one pass, one row per point.  A row with
-    no hit or several, or a non-bijective overall assignment, raises
+    function to 1.  Every character of a function algebra is evaluation at
+    one point, so one probe tells the points apart: each character is
+    evaluated once on the function that is i + 1 at point i, and reads
+    i + 1 exactly when it sends point i's indicator to 1.  The probe finding
+    no character, several, or a non-bijective overall assignment raises
     :class:`DualityViolation`, the first failing point first.
     """
     algebra = FunctionAlgebra(space)
-    double_dual = functor_F_object(algebra)
-    values = np.array(
-        [gelfand_transform(algebra._indicator(i)).coords for i in range(space.size)]
-    )
-    hits = np.abs(values - 1.0) <= PROBE_TOL
+    chars = characters(algebra)
+    double_dual = chars.as_finite_space()
+    labels = np.arange(1, space.size + 1, dtype=complex)
+    probe = AlgebraElement(algebra, _readonly(labels.copy()))
+    values = np.array([chi(probe) for chi in chars], dtype=complex)
+    hits = np.abs(values - labels[:, None]) <= PROBE_TOL
     counts = hits.sum(axis=1)
     failing = np.flatnonzero(counts != 1)
     if failing.size:

@@ -11,6 +11,7 @@ from cstarlab import (
     AlgebraElement,
     AlgebraMismatch,
     ContinuousMap,
+    CstarError,
     DualityViolation,
     FiniteSpace,
     NonFinite,
@@ -217,22 +218,27 @@ def test_mu_matches_points_to_their_evaluation_characters():
     assert m.assignment == ("0", "1", "2")
 
 
-def _collapsed_transform(a):
-    # a degenerate character enumeration: every character is the first one
-    target = gelfand.transform_target(a.algebra)
-    return AlgebraElement(target, a.coords[np.zeros(a.algebra.dim, dtype=int)])
-
-
 def test_mu_detects_degenerate_character_enumeration(monkeypatch):
     X = FiniteSpace(("p", "q"))
-    monkeypatch.setattr(duality, "gelfand_transform", _collapsed_transform)
+    A = functor_G_object(X)
+    first = gelfand.characters(A).members[0]
+
+    def collapsed(algebra):
+        return gelfand.CharacterSpace(algebra=algebra, members=(first, first))
+
+    monkeypatch.setattr(duality, "characters", collapsed)
     with pytest.raises(DualityViolation):
         duality.mu(X)
 
 
 def test_equivalence_reports_degenerate_character_enumeration(monkeypatch):
     X = FiniteSpace(("p", "q"))
-    monkeypatch.setattr(duality, "gelfand_transform", _collapsed_transform)
+    first = gelfand.characters(functor_G_object(X)).members[0]
+
+    def collapsed(algebra):
+        return gelfand.CharacterSpace(algebra=algebra, members=(first, first))
+
+    monkeypatch.setattr(duality, "characters", collapsed)
     report = verify_equivalence(X)
     assert not report.passed
     assert report.max_defect == 1.0
@@ -240,17 +246,18 @@ def test_equivalence_reports_degenerate_character_enumeration(monkeypatch):
 
 
 def test_mu_rejects_an_assignment_that_is_not_a_bijection(monkeypatch):
-    # the stand-in characters are f, the sum, and g, zero: f sends both
-    # indicators to 1 and g sends both to 0, so each point has exactly one
-    # hit, f, and the assignment is not injective; real characters cannot
-    # do this, so only a stand-in reaches the guard
+    # the two characters and a third stand-in, zero: each point has exactly
+    # one hit, its own character, and the assignment misses the third point
+    # of the double dual; real characters cannot do this, so only a
+    # stand-in reaches the guard (mu's one probe gives each character at
+    # most one point, so a non-injective assignment cannot arise)
     X = FiniteSpace(("p", "q"))
 
-    def f_and_g(a):
-        target = gelfand.transform_target(a.algebra)
-        return AlgebraElement(target, np.array([a.coords.sum(), 0j]))
+    def stand_in(algebra):
+        members = (*gelfand.characters(algebra).members, lambda a: 0j)
+        return gelfand.CharacterSpace(algebra=algebra, members=members)
 
-    monkeypatch.setattr(duality, "gelfand_transform", f_and_g)
+    monkeypatch.setattr(duality, "characters", stand_in)
     with pytest.raises(DualityViolation, match="^point-to-character map is not a bijection$"):
         duality.mu(X)
     report = verify_equivalence(X)
@@ -261,7 +268,7 @@ def test_mu_rejects_an_assignment_that_is_not_a_bijection(monkeypatch):
 def _reference_mu(space):
     """mu as an element-wise loop: every character on every indicator."""
     algebra = functor_G_object(space)
-    chars = gelfand.characters(algebra)
+    chars = duality.characters(algebra)
     double_dual = chars.as_finite_space()
     assignment = []
     for i in range(space.size):
@@ -279,37 +286,63 @@ def _reference_mu(space):
     return result
 
 
-# stand-in probes for point i of a d-point space, seen by mu and the loop alike
-WRONG_PROBES = {
-    "honest": lambda A, i: A.element(np.eye(A.dim)[i]),
-    "unit": lambda A, i: A.unit(),
-    "zero": lambda A, i: A.zero(),
-    "first": lambda A, i: A.element(np.eye(A.dim)[0]),
-    "rolled": lambda A, i: A.element(np.eye(A.dim)[(i + 1) % A.dim]),
-    "two points": lambda A, i: A.element(np.eye(A.dim)[i] + np.eye(A.dim)[-1]),
-    "near one": lambda A, i: A.element(np.eye(A.dim)[i] * (1 + 2e-10)),
-    "last wrong": lambda A, i: A.element(np.eye(A.dim)[i] * (i + 1 < A.dim)),
+# stand-in character enumerations of a d-point function algebra, each member
+# a real Character (evaluation at one point) or the zero functional
+STAND_IN_INDICES = {
+    "honest": lambda d: list(range(d)),
+    "collapsed": lambda d: [0] * d,
+    "rolled": lambda d: [(j - 1) % d for j in range(d)],
+    "reversed": lambda d: list(range(d))[::-1],
+    "one missing": lambda d: list(range(d - 1)),
+    "one extra": lambda d: [*range(d), d - 1],
+    "last repeated": lambda d: [*range(d - 1), max(d - 2, 0)],
+    "zero appended": lambda d: [*range(d), None],
+    "zero first": lambda d: [None, *range(1, d)],
 }
+
+
+def _stand_in_characters(indices):
+    def enumerate_characters(algebra):
+        members = tuple(
+            (lambda a: 0j) if i is None else gelfand.Character(algebra, i)
+            for i in indices(algebra.dim)
+        )
+        return gelfand.CharacterSpace(algebra=algebra, members=members)
+
+    return enumerate_characters
 
 
 def _mu_outcome(f, space):
     try:
         return f(space)
-    except DualityViolation as err:
-        return str(err)
+    except CstarError as err:
+        return f"{type(err).__name__}: {err}"
 
 
-@pytest.mark.parametrize("probe", WRONG_PROBES)
-def test_mu_matches_the_element_wise_loop(monkeypatch, probe):
+@pytest.mark.parametrize("enumeration", STAND_IN_INDICES)
+def test_mu_matches_the_element_wise_loop(monkeypatch, enumeration):
     monkeypatch.setattr(
-        duality.FunctionAlgebra, "_indicator", lambda A, i: WRONG_PROBES[probe](A, i)
+        duality, "characters", _stand_in_characters(STAND_IN_INDICES[enumeration])
     )
     for d in range(1, 13):
         X = space_of(d)
         want = _mu_outcome(_reference_mu, X)
         assert _mu_outcome(duality.mu, X) == want, d
-        if probe == "honest":
+        if enumeration == "honest":
             assert want == ContinuousMap(X, want.target, tuple(map(str, range(d))))
+
+
+def test_mu_evaluates_each_character_once(monkeypatch):
+    calls = []
+    real = gelfand.evaluate_character
+
+    def counting(phi, a):
+        calls.append(phi.index)
+        return real(phi, a)
+
+    monkeypatch.setattr(gelfand, "evaluate_character", counting)
+    duality.mu(space_of(12))
+    assert sorted(calls) == list(range(12))
 
 
 def test_space_verifier_computes_mu_once(monkeypatch):
