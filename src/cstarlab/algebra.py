@@ -111,9 +111,6 @@ class CommutativeAlgebra:
     def unit(self) -> "AlgebraElement":
         return self._fresh(np.ones(self.dim, dtype=complex))
 
-    def zero(self) -> "AlgebraElement":
-        return self._fresh(np.zeros(self.dim, dtype=complex))
-
     def _indicator(self, i: int) -> "AlgebraElement":
         """The element that is 1 at character ``i`` and 0 at every other."""
         coords = np.zeros(self.dim, dtype=complex)
@@ -122,10 +119,6 @@ class CommutativeAlgebra:
 
     def character_label(self, i: int) -> str:
         raise NotImplementedError
-
-    def resolve_character_key(self, key) -> int:
-        """Turn a character label or index into a canonical index."""
-        return self.character_mask((key,)).bit_length() - 1
 
     def character_mask(self, keys) -> int:
         """The bit mask of the characters that ``keys`` name.
@@ -401,9 +394,6 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
         return self.algebra._fresh(self.coords - other.coords)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.algebra._fresh(-self.coords)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

@@ -78,11 +78,6 @@ class Ideal:
     def is_proper(self) -> bool:
         return self.mask != 0
 
-    @property
-    def dimension(self) -> int:
-        """Linear dimension: one free coordinate per non-vanishing character."""
-        return self.algebra.dim - self.mask.bit_count()
-
     def contains(self, a: AlgebraElement) -> bool:
         if a.algebra != self.algebra:
             raise AlgebraMismatch("element belongs to a different algebra")

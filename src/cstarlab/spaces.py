@@ -81,9 +81,6 @@ class ContinuousMap:
     def identity(cls, space: FiniteSpace) -> "ContinuousMap":
         return cls(space, space, space.points)
 
-    def __call__(self, label: str) -> str:
-        return self.assignment[self.source.index(label)]
-
     def then(self, other: "ContinuousMap") -> "ContinuousMap":
         """Composite ``other . self`` (apply self first)."""
         if other.source != self.target:

@@ -107,23 +107,9 @@ class SpectrumSet:
         reps, _ = dedup_points(values, merge_tol)
         return cls(reps, merge_tol)
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
     def radius(self) -> float:
         """Largest modulus over the points."""
         return float(np.abs(self.points).max()) if self.points else 0.0
-
-    def hausdorff(self, other: "SpectrumSet | tuple | list") -> float:
-        pts = other.points if isinstance(other, SpectrumSet) else tuple(other)
-        return hausdorff_distance(self.points, pts)
-
-    def close_to(self, other, tol: float = DEFAULT_MERGE_TOL) -> bool:
-        return self.hausdorff(other) <= tol
-
-    def __iter__(self):
-        return iter(self.points)
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{p:.6g}" for p in self.points)

@@ -57,7 +57,7 @@ ROWS = {
         lambda: Character(A, 1.0), ValueError, r"character index 1\.0 is not an integer"
     ),
     "character-key-index": (
-        lambda: A.resolve_character_key(3), InvalidSubset, "character index 3 out of range"
+        lambda: A.character_mask((3,)), InvalidSubset, "character index 3 out of range"
     ),
     "space-label-type": (
         lambda: FiniteSpace(("a", 1)), InvalidSpace, "point labels must be strings"
@@ -164,7 +164,7 @@ def test_bad_call_raises(call, exception, message):
 
 
 def test_calls_at_the_edge_of_validation_succeed():
-    assert F("q") == "r"
+    assert F.assignment[F.source.index("q")] == "r"
     assert ideal_from_closed_set(A, ()).contains(A.unit())
 
 
