@@ -1,7 +1,8 @@
 """Seeded random instances for the verification suite and tests.
 
 Everything takes an explicit numpy Generator so runs are reproducible from
-a single seed, and the draw order is fixed: a new kind of sample gets a new
+a single seed.  ``verify`` hands each law its own generator, so the draw
+order is fixed per law, not across laws: a new kind of sample gets a new
 function, not an option on an old one.
 """
 

@@ -5,13 +5,14 @@
 ``run`` from ``count(max_size)`` and a generator ``sample(rng, tol,
 max_size, i)`` that draws instance ``i`` and yields its records.
 
-All laws draw from one shared seeded generator, in registry order and in
-the order each sample draws.  That order is part of the contract: a (seed,
-tol, max_size) triple always produces the identical record stream, and a
-refactor keeps ``verify --format structured`` byte-identical only if no
-draw moves.  Tolerances intrinsic to a law (machine-exactness, series
-accuracy) are fixed here; the ``tol`` argument only enters where a set
-comparison or classification cutoff is genuinely a choice.
+Each law draws from its own generator, keyed by the seed and the law's
+name, so its records depend only on (seed, name, tol, max_size) and a law
+run alone reproduces them.  The draw order within a law is part of the
+contract: a refactor keeps ``verify --format structured`` byte-identical
+only if none of its draws moves.  Tolerances intrinsic to a law
+(machine-exactness, series accuracy) are fixed here; the ``tol`` argument
+only enters where a set comparison or classification cutoff is genuinely a
+choice.
 """
 
 from __future__ import annotations
@@ -81,14 +82,19 @@ LAWS: list[tuple[str, Run]] = []
 def _law(name: str, count: Callable[[int], int]) -> Callable[..., Run]:
     """Register the decorated ``sample`` under ``name`` in ``LAWS``.
 
-    The registered ``run(rng, tol, max_size)`` collects the records of
-    ``sample(rng, tol, max_size, i)`` for ``i`` in ``range(count(max_size))``.
-    A :class:`CstarError` ends the law: the records yielded so far stay, and
-    a failed record with defect inf names the error.
+    The registered ``run(rng, tol, max_size)`` never draws from ``rng``: it
+    keys the law's own generator by ``name`` and the seed sequence of
+    ``rng``, which no draw changes, and collects the records that ``sample``
+    yields on it for ``i`` in ``range(count(max_size))``.  A
+    :class:`CstarError` ends the law: the records yielded so far stay, and a
+    failed record with defect inf names the error.
     """
 
     def register(sample: Callable[..., Iterator[CheckRecord]]) -> Run:
         def run(rng, tol, max_size):
+            seq = rng.bit_generator.seed_seq
+            key = seq.spawn_key + tuple(name.encode())
+            rng = np.random.default_rng(np.random.SeedSequence(seq.entropy, spawn_key=key))
             records = []
             try:
                 for i in range(count(max_size)):
@@ -220,7 +226,6 @@ def law_spectral_radius(rng, tol, max_size, i):
 def law_gelfand(rng, tol, max_size, i):
     algebra = random_algebra(rng, max_size)
     a = random_element(rng, algebra, magnitude=2.0)
-    random_element(rng, algebra, magnitude=2.0)  # unused; drawn so no later draw moves
     name = f"{algebra.describe()} #{i}"
     char_values = [chi(a) for chi in characters(algebra)]
     defect = hausdorff_distance(spectrum(a, tol).points, char_values)
@@ -402,7 +407,7 @@ def law_norm_uniqueness(rng, tol, max_size, i):
 def run_suite(
     seed: int = 0, tol: float = DEFAULT_MERGE_TOL, max_size: int = 8
 ) -> list[CheckRecord]:
-    """Run every law once, in registry order, with one shared seeded generator."""
+    """Run every law once, in registry order, each on its own keyed generator."""
     rng = np.random.default_rng(seed)
     return [rec for _, run in LAWS for rec in run(rng, tol, max_size)]
 

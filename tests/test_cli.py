@@ -361,26 +361,26 @@ def test_parser_defaults_are_the_run_config_defaults():
 # sha256 prefixes of ``verify --format structured``; a refactor that changes
 # any byte of these streams changes behaviour
 GOLDEN_VERIFY_STREAMS = {
-    (0, 1): "160b455be895",
-    (0, 4): "607bf29f3a80",
-    (0, 8): "55bcb2352ac3",
-    (1, 1): "5b8cb9ba0aca",
-    (1, 4): "e99f07f5de36",
-    (1, 8): "684b4d0caeb8",
-    (42, 1): "2a423e9a8157",
-    (42, 4): "fafa362744fe",
-    (42, 8): "bae7e54d80a9",
-    (0, 12): "0154ecb54607",
-    (1, 12): "c231f077f26b",
-    (42, 12): "ce4b4b916143",
-    (7, 1): "b1299e15fd43",
-    (7, 4): "78e29b858d78",
-    (7, 8): "5e0132f70ef3",
-    (7, 12): "ff8c27892537",
-    (123, 1): "603eacdab2c3",
-    (123, 4): "3a8504cdee0f",
-    (123, 8): "daa10bb8419a",
-    (123, 12): "7dd55e73a456",
+    (0, 1): "293773b48744",
+    (0, 4): "ec1d07f510da",
+    (0, 8): "35e748831340",
+    (1, 1): "91509eb71755",
+    (1, 4): "7b0143c4cc7e",
+    (1, 8): "358d23e175de",
+    (42, 1): "d183ca998517",
+    (42, 4): "175036803d80",
+    (42, 8): "2ad1b5d5449e",
+    (0, 12): "88153dd187f8",
+    (1, 12): "e0436a066d5b",
+    (42, 12): "8e0ea3b3ea1b",
+    (7, 1): "afd6a229c98b",
+    (7, 4): "813a09b283dd",
+    (7, 8): "74099527361c",
+    (7, 12): "a1970e007d73",
+    (123, 1): "82e4f24b76c3",
+    (123, 4): "2f8e48b55622",
+    (123, 8): "d8672ef584a9",
+    (123, 12): "da323846ab50",
 }
 
 
@@ -396,10 +396,10 @@ def test_structured_verify_stream_is_golden(seed, max_size):
 
 # sha256 prefixes of ``verify --format text``: the per-law summary lines
 GOLDEN_VERIFY_TEXT_STREAMS = {
-    (0, 4): "17e48045a1cb",
-    (0, 12): "13ed5767ce0b",
-    (42, 4): "809e4526a8eb",
-    (42, 12): "b61f5139bbde",
+    (0, 4): "4bef6bc12541",
+    (0, 12): "609b296ee10d",
+    (42, 4): "67a84a3db916",
+    (42, 12): "d9283ca30324",
 }
 
 

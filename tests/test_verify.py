@@ -98,13 +98,25 @@ def test_record_names_per_law():
 def test_walking_the_registry_reproduces_run_suite(seed):
     # the walk a per-law timer makes: one shared generator, registry order
     rng = np.random.default_rng(seed)
-    walked = []
+    by_law = {}
     for name, run in verify.LAWS:
         records = run(rng, 1e-9, 3)
         assert isinstance(records, list) and records
         assert all(isinstance(r, CheckRecord) for r in records)
-        walked.extend(records)
+        by_law[name] = records
+    walked = [r for records in by_law.values() for r in records]
     assert walked == run_suite(seed, max_size=3)
+    # each law keys its own stream by (seed, name), so it gives the same
+    # records run alone, walked in reverse, or on a generator that has drawn
+    for name, run in verify.LAWS:
+        assert run(np.random.default_rng(seed), 1e-9, 3) == by_law[name], name
+    rng = np.random.default_rng(seed)
+    for name, run in reversed(verify.LAWS):
+        assert run(rng, 1e-9, 3) == by_law[name], name
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=7)
+    for name, run in verify.LAWS:
+        assert run(rng, 1e-9, 3) == by_law[name], name
 
 
 def zariski(max_size):
