@@ -68,15 +68,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _character_index(i, error: type[Exception]) -> int:
-    """``i`` as an int; a ``bool``, or a value that ``operator.index``
-    refuses (such as 1.7), raises ``error``."""
+def _character_index(i, dim: int, error: type[Exception]) -> int:
+    """``i`` as an int in ``range(dim)``; a ``bool``, a value ``operator.index``
+    refuses (such as 1.7) or an index out of range raises ``error``."""
     try:
-        if not isinstance(i, bool):
-            return operator.index(i)
+        j = None if isinstance(i, bool) else operator.index(i)
     except TypeError:
-        pass
-    raise error(f"character index {i!r} is not an integer")
+        j = None
+    if j is None:
+        raise error(f"character index {i!r} is not an integer")
+    if not 0 <= j < dim:
+        raise error(f"character index {j} out of range")
+    return j
 
 
 class CommutativeAlgebra:
@@ -123,8 +126,8 @@ class CommutativeAlgebra:
     def character_mask(self, keys) -> int:
         """The bit mask of the characters that ``keys`` name.
 
-        A key is a character label or an integer index in range (a ``bool``
-        is not one); the first key that is neither raises
+        A key is a character label, or else a character index under
+        ``_character_index``; the first key that is neither raises
         :class:`InvalidSubset`.
         """
         dim, mask = self.dim, 0
@@ -132,20 +135,13 @@ class CommutativeAlgebra:
             # the common keys first: an exact int, then a label
             if type(key) is int and 0 <= key < dim:
                 mask |= 1 << key
-                continue
-            if isinstance(key, str):
+            elif isinstance(key, str):
                 i = self._label_index.get(key)
-            elif isinstance(key, bool):
-                raise InvalidSubset(f"cannot use {key!r} as a character key")
-            elif isinstance(key, (int, np.integer)):
-                i = int(key)
-                if not 0 <= i < dim:
-                    raise InvalidSubset(f"character index {i} out of range")
+                if i is None:
+                    raise InvalidSubset(f"{key!r} does not name a character of {self!r}")
+                mask |= 1 << i
             else:
-                i = None
-            if i is None:
-                raise InvalidSubset(f"{key!r} does not name a character of {self!r}")
-            mask |= 1 << i
+                mask |= 1 << _character_index(key, dim, InvalidSubset)
         return mask
 
     @cached_property
@@ -211,7 +207,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         # is the unscaled one wherever the unscaled arithmetic stayed in range,
         # and the cluster gap and the merge cutoff scale with M.
         k, Ms, defect_s = _scaled_commutator(M)
-        fro_s = _fro(Ms)
+        fro_s = float(np.linalg.norm(Ms))
         bound_s = _NORMALITY_TOL * fro_s * fro_s
         if not defect_s <= bound_s:
             raise NotNormal(defect_s, bound_s, 2 * k)
@@ -219,12 +215,12 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         U, eigs_s = _joint_diagonalize(Ms)
         gram = U.conj().T @ U
         gram.reshape(-1)[:: n + 1] -= 1.0  # U* U - I, without building I
-        unitary_defect = _fro(gram)
+        unitary_defect = float(np.linalg.norm(gram))
         if unitary_defect > 1e-12 * n:
             raise DecompositionFailure(
                 f"change of basis is not unitary: defect {unitary_defect:.3e}"
             )
-        recon_s = _fro((U * eigs_s) @ U.conj().T - Ms)
+        recon_s = float(np.linalg.norm((U * eigs_s) @ U.conj().T - Ms))
         # 1e-8 n |M|_F + |[M, M*]|_F / |M|_F, which scales with M
         recon_bound_s = 1e-8 * n * fro_s + (defect_s / fro_s if fro_s else 0.0)
         if not recon_s <= recon_bound_s:
@@ -300,18 +296,6 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         return hash(("NormalGeneratorAlgebra", self.generator.tobytes()))
 
 
-def _fro(x: np.ndarray) -> float:
-    """Frobenius norm of a complex array, bit for bit ``np.linalg.norm(x)``.
-
-    It performs that function's own steps for a complex array (ravel in
-    memory order, the dot products of the real and imaginary parts, one
-    square root) without its argument dispatch.
-    """
-    x = x.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _power_of_two_scaled(M: np.ndarray) -> tuple[int, np.ndarray]:
     """k with 2^k above every |Re| and |Im| of M, and Ms = M 2^-k.
 
@@ -326,10 +310,11 @@ def _power_of_two_scaled(M: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
     """k and Ms of :func:`_power_of_two_scaled`, and the Frobenius norm of
-    Ms Ms* - Ms* Ms."""
+    Ms Ms* - Ms* Ms.  Ms* is freed on return, before ``eigh``: inlined, it
+    raised the traced peak of an n = 256 construction from 6.0 to 7.0 MiB."""
     k, Ms = _power_of_two_scaled(M)
     Ms_star = Ms.conj().T
-    return k, Ms, _fro(Ms @ Ms_star - Ms_star @ Ms)
+    return k, Ms, float(np.linalg.norm(Ms @ Ms_star - Ms_star @ Ms))
 
 
 def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,17 +422,15 @@ class StarHomomorphism:
     character_images: tuple[int, ...]
 
     def __post_init__(self):
+        dim = self.source.dim
         images = tuple(
-            _character_index(i, InvalidPointMap) for i in self.character_images
+            _character_index(i, dim, InvalidPointMap) for i in self.character_images
         )
         object.__setattr__(self, "character_images", images)
         if len(images) != self.target.dim:
             raise InvalidPointMap(
                 f"need {self.target.dim} character images, got {len(images)}"
             )
-        bad = [i for i in images if not 0 <= i < self.source.dim]
-        if bad:
-            raise InvalidPointMap(f"character indices {bad!r} are out of range")
 
     @classmethod
     def identity(cls, algebra: CommutativeAlgebra) -> "StarHomomorphism":

@@ -46,9 +46,8 @@ class Character:
     index: int
 
     def __post_init__(self):
-        i = _character_index(self.index, ValueError)
-        if not 0 <= i < self.algebra.dim:
-            raise ValueError(f"character index {i} out of range")
+        i = _character_index(self.index, self.algebra.dim, ValueError)
+        object.__setattr__(self, "index", i)
 
     @property
     def label(self) -> str:

@@ -10,18 +10,16 @@ Each loop is written once.  ``_geometric_sum`` sums the Neumann series for
 ``neumann_inverse`` and ``perturbation_inverse``; it still measures the
 residual of every partial sum, but a block of partial sums at a time, and
 the length of each block follows the decay measured so far.
-``_squaring_roots`` yields Gelfand's norm(x^(2^k))^(1/2^k) for
-``spectral_radius_limit``.  ``operator_norm`` needs no limit: by the
-C*-identity it is the root of the largest eigenvalue of the Hermitian
-M* M, one symmetric eigenvalue solve and never an SVD, so the SVD stays an
-independent oracle.  ``classify_element`` takes its four defects on the one
-coordinate array, where a defect too large for a float reads inf.
+``operator_norm`` needs no Gelfand limit: by the C*-identity it is the
+root of the largest eigenvalue of the Hermitian M* M, one symmetric
+eigenvalue solve and never an SVD, so the SVD stays an independent oracle.
+``classify_element`` takes its four defects on the one coordinate array,
+where a defect too large for a float reads inf.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -285,43 +283,32 @@ def spectral_radius_exact(a: AlgebraElement) -> float:
     return a.norm()
 
 
-def _squaring_roots(x):
-    """Yield max|x^(2^k)|^(1/2^k) for k = 0, 1, ...  Each square is divided
-    by its largest modulus and the scale is kept in log space; a square of
-    largest modulus 0 or non-finite raises :class:`Overflow`, and an x of
-    norm 0 yields 0s.  Each square is a new array, divided in place; x is
-    not."""
-    s = float(np.abs(x).max())
-    yield s
+def spectral_radius_limit(a: AlgebraElement, n_max: int = 20) -> RadiusEstimate:
+    """Estimate the spectral radius as the limit of norm(a^(2^k))^(1/2^k).
+
+    Each square is divided by its largest modulus and the scale is kept in
+    log space, so the trace is that sequence, without overflow, whenever
+    ``a.norm()`` is finite.  A finite element can still have an infinite
+    norm: a coordinate such as ``1.7e308+1.7e308j`` has modulus ``inf``,
+    dividing by it leaves zero powers, and :class:`Overflow` is raised.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    s = float(np.abs(a.coords).max())
     if s == 0.0:
-        yield from itertools.repeat(0.0)
+        return RadiusEstimate(0.0, (0.0,) * (n_max + 1))
+    trace = [s]
     log_scale = math.log(s)
-    x = x / s
-    for k in itertools.count(1):
+    x = a.coords / s
+    for k in range(1, n_max + 1):
         x = x * x
         m = float(np.abs(x).max())
         if m == 0.0 or not math.isfinite(m):
             raise Overflow("repeated squaring left the floating range")
-        # numpy's x / m is Smith's division, (Re + Im * 0) * fl(1/m) per part:
-        # in place, only a zero's sign differs, and no modulus reads that
-        parts = x.view(np.float64)
-        parts *= 1.0 / m
+        x = x / m
         log_scale = 2.0 * log_scale + math.log(m)
-        yield math.exp(log_scale / 2.0**k)
-
-
-def spectral_radius_limit(a: AlgebraElement, n_max: int = 20) -> RadiusEstimate:
-    """Estimate the spectral radius as the limit of norm(a^(2^k))^(1/2^k).
-
-    The trace is that sequence, without overflow, whenever ``a.norm()`` is
-    finite.  A finite element can still have an infinite norm: a coordinate
-    such as ``1.7e308+1.7e308j`` has modulus ``inf``, dividing by it leaves
-    zero powers, and :class:`Overflow` is raised.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    trace = tuple(itertools.islice(_squaring_roots(a.coords), n_max + 1))
-    return RadiusEstimate(trace[-1], trace)
+        trace.append(math.exp(log_scale / 2.0**k))
+    return RadiusEstimate(trace[-1], tuple(trace))
 
 
 def operator_norm(matrix) -> float:

@@ -705,73 +705,14 @@ def test_multiplication_commutes(pair):
 
 
 # ---------------------------------------------------------------------------
-# construction's helpers, bit for bit against the numpy calls they replace
-
-# signed zeros and magnitudes from about 1e-300 to 1e300
-_parts = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(
-        lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 299)
-    ),
-)
-
-
-@st.composite
-def complex_arrays(draw):
-    """Complex arrays of 1 x 1 up to 16 x 16 or of 1 to 64 entries, C-ordered,
-    F-ordered, or a strided or reversed view of a larger array."""
-    shape = draw(
-        st.one_of(
-            st.tuples(st.integers(1, 16), st.integers(1, 16)),
-            st.tuples(st.integers(1, 64)),
-        )
-    )
-    n = int(np.prod(shape))
-    x = np.empty(n, dtype=complex)
-    if draw(st.booleans()):
-        x.real = draw(st.lists(_parts, min_size=n, max_size=n))
-        x.imag = draw(st.lists(_parts, min_size=n, max_size=n))
-    else:
-        # values of one scale, where the order of summation shows
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        scale = 10.0 ** draw(st.integers(-300, 300))
-        x.real = scale * rng.uniform(-1, 1, n)
-        x.imag = scale * rng.uniform(-1, 1, n)
-    x = x.reshape(shape)
-    layout = draw(st.sampled_from(["C", "F", "strided", "reversed"]))
-    if layout == "F":
-        return np.asfortranarray(x)
-    if layout == "reversed":
-        return x[::-1]
-    if layout == "strided":
-        steps = (2, 3)[: x.ndim]
-        big = np.zeros(tuple(k * s for k, s in zip(x.shape, steps)), dtype=complex)
-        view = big[tuple(slice(None, None, s) for s in steps)]
-        view[...] = x
-        return view
-    return x
-
-
-def _bits_and_warnings(norm, x):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = norm(x)
-    return np.float64(value).tobytes(), sorted(str(w.message) for w in caught)
-
-
-@given(complex_arrays())
-@settings(max_examples=300, deadline=None)
-def test_fro_is_numpy_norm_bit_for_bit(x):
-    # the same bytes, and the same overflow warnings where a square overflows
-    expected = _bits_and_warnings(lambda y: float(np.linalg.norm(y)), x)
-    assert _bits_and_warnings(cstarlab.algebra._fro, x) == expected
+# construction's U* U - I, bit for bit against the matrix it avoids
 
 
 def test_construction_subtracts_the_identity_in_place_bit_for_bit(monkeypatch):
     # construction's Frobenius norms, third of which is |U* U - I|_F
     seen = []
-    fro = cstarlab.algebra._fro
-    monkeypatch.setattr(cstarlab.algebra, "_fro", lambda x: seen.append(x.copy()) or fro(x))
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x: seen.append(x.copy()) or norm(x))
     rng = np.random.default_rng(31)
     for n in range(1, 17):
         for repeats in (False, True):

@@ -59,6 +59,11 @@ ROWS = {
     "character-key-index": (
         lambda: A.character_mask((3,)), InvalidSubset, "character index 3 out of range"
     ),
+    "character-key-bool": (
+        lambda: A.character_mask((True,)),
+        InvalidSubset,
+        "character index True is not an integer",
+    ),
     "space-label-type": (
         lambda: FiniteSpace(("a", 1)), InvalidSpace, "point labels must be strings"
     ),
@@ -99,6 +104,11 @@ ROWS = {
         lambda: StarHomomorphism(A, B, (0, True)),
         InvalidPointMap,
         "character index True is not an integer",
+    ),
+    "hom-image-range": (
+        lambda: StarHomomorphism(A, B, (0, 5)),
+        InvalidPointMap,
+        "character index 5 out of range",
     ),
     "hom-foreign-element": (
         lambda: PHI(B.unit()), AlgebraMismatch, "does not belong to the source algebra"
@@ -172,3 +182,20 @@ def test_numpy_integer_character_indices_are_accepted():
     images = StarHomomorphism(A, B, (np.int64(2), np.int32(0))).character_images
     assert images == (2, 0) and all(type(i) is int for i in images)
     assert Character(A, np.int64(2))(A.element([1, 2, 3])) == 3
+    assert type(Character(A, np.int64(1)).index) is int
+
+
+class _Index:
+    """Not an int, but an integer index through ``__index__``."""
+
+    def __index__(self):
+        return 1
+
+
+def test_index_objects_name_the_character_they_index():
+    key = _Index()
+    character = Character(A, key)
+    assert character.index == 1 and type(character.index) is int
+    assert character.label == "b"
+    assert A.character_mask((key,)) == 0b10
+    assert StarHomomorphism(A, B, (key, 0)).character_images == (1, 0)
