@@ -329,9 +329,9 @@ def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so the 1 is the generator's own scale.
     """
     n = M.shape[0]
-    # K is formed after eigh so that it is not held during the call
     w, U = np.linalg.eigh((M + M.conj().T) / 2)
-    K = (M - M.conj().T) / 2j
+    # K is formed after eigh (not held during the call), once a cluster needs it
+    K = None
     gap_tol = 2e-8 * max(1.0, float(np.abs(w).max()))
     wl = w.tolist()
     start = 0
@@ -339,6 +339,8 @@ def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if stop < n and wl[stop] - wl[stop - 1] <= gap_tol:
             continue
         if stop - start > 1:
+            if K is None:
+                K = (M - M.conj().T) / 2j
             block = U[:, start:stop]
             Kblock = block.conj().T @ K @ block
             Kblock = (Kblock + Kblock.conj().T) / 2

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# gelfand, ideals and verify serve one command each and are imported in it,
+# so that a cold start loads only the modules its command runs
 from .errors import CstarError, NonFinite
-from .gelfand import characters, gelfand_transform
-from .ideals import ideal_from_closed_set, quotient
 from .interchange import complex_pairs, document_to_json, dump_element
 from .interchange import load_document, load_path
 from .spectra import DEFAULT_MERGE_TOL
 from .spectral import apply_polynomial, classify_element, spectrum
-from .verify import run_suite, summarize
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
@@ -157,6 +156,7 @@ def _cmd_classify(config: RunConfig, element, out) -> int:
 
 
 def _cmd_characters(config: RunConfig, element, out) -> int:
+    from .gelfand import characters, gelfand_transform
     values = gelfand_transform(element).coords
     chars = characters(element.algebra)
     if config.output_format == "structured":
@@ -195,6 +195,7 @@ def _cmd_calculus(config: RunConfig, element, out) -> int:
 
 
 def _cmd_quotient(config: RunConfig, element, out) -> int:
+    from .ideals import ideal_from_closed_set, quotient
     if not config.zero_set:
         return _fail("quotient needs --zero-set (labels, e.g. 'p,q')")
     algebra = element.algebra
@@ -224,6 +225,7 @@ def _cmd_quotient(config: RunConfig, element, out) -> int:
 
 
 def _cmd_verify(config: RunConfig, out) -> int:
+    from .verify import run_suite, summarize
     records = run_suite(seed=config.seed, tol=config.tol, max_size=config.max_size)
     summary = summarize(records)
     failed = [row for row in summary if not row["pass"]]

@@ -63,17 +63,15 @@ def _complex_array(pairs: list, what: str) -> np.ndarray:
     fails a check goes through ``_as_complex`` pair by pair, which names
     the first bad entry.
     """
-    if (
-        set(map(type, pairs)) <= {list}
-        and set(map(len, pairs)) <= {2}
-        and set(map(type, chain.from_iterable(pairs))) <= {int, float}
-    ):
-        # an int too large for a float raises OverflowError, as in float()
-        with suppress(OverflowError):
-            flat = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
-            if np.isfinite(flat).all():
-                # re, im, re, im, ...: the complex values are a view
-                return flat.view(np.complex128)
+    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
+        flat = list(chain.from_iterable(pairs))
+        if set(map(type, flat)) <= {int, float}:
+            # an int too large for a float raises OverflowError, as in float()
+            with suppress(OverflowError):
+                values = np.fromiter(flat, np.float64, len(flat))
+                if np.isfinite(values).all():
+                    # re, im, re, im, ...: the complex values are a view
+                    return values.view(np.complex128)
     for i, pair in enumerate(pairs):
         _as_complex(pair, f"{what}[{i}]")
     raise AssertionError(f"{what} passed _as_complex but not the bulk check")
