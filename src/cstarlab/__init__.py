@@ -10,7 +10,7 @@ The public names are the data modules' ``__all__``, imported on first use
 (PEP 562) so that a command line run loads only the modules it runs.
 """
 
-import importlib
+import importlib.util
 
 _DATA_MODULES = ("algebra", "duality", "errors", "gelfand", "ideals", "interchange",
                  "spaces", "spectra", "spectral")
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """A data module, or the public name one of them declares, imported now."""
-    if name in _DATA_MODULES:
+    """A submodule, or else the public name a data module declares, imported now."""
+    if importlib.util.find_spec(f"{__name__}.{name}") is not None:
         return importlib.import_module(f".{name}", __name__)
     if name == "__all__":
         value = [public for m in _DATA_MODULES for public in __getattr__(m).__all__]

@@ -206,13 +206,20 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         # units of 2^k; scaling by a power of two is exact, so each verdict
         # is the unscaled one wherever the unscaled arithmetic stayed in range,
         # and the cluster gap and the merge cutoff scale with M.
-        k, Ms, defect_s = _scaled_commutator(M)
+        k, Ms = _power_of_two_scaled(M)
+        # Ms = H + iK with H, K Hermitian: Ms Ms* - Ms* Ms = 2i (X* - X), X = HK
+        H = (Ms + Ms.conj().T) / 2
+        X = H @ ((Ms - Ms.conj().T) / 2j)
+        defect_s = 2 * float(np.linalg.norm(X - X.conj().T))
+        del X
         fro_s = float(np.linalg.norm(Ms))
         bound_s = _NORMALITY_TOL * fro_s * fro_s
         if not defect_s <= bound_s:
             raise NotNormal(defect_s, bound_s, 2 * k)
 
-        U, eigs_s = _joint_diagonalize(Ms)
+        w, U = np.linalg.eigh(H)
+        del H
+        U, eigs_s, W = _joint_diagonalize(Ms, w, U)
         gram = U.conj().T @ U
         gram.reshape(-1)[:: n + 1] -= 1.0  # U* U - I, without building I
         unitary_defect = float(np.linalg.norm(gram))
@@ -220,7 +227,9 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
             raise DecompositionFailure(
                 f"change of basis is not unitary: defect {unitary_defect:.3e}"
             )
-        recon_s = float(np.linalg.norm((U * eigs_s) @ U.conj().T - Ms))
+        del gram
+        # |conj(U) D - W^T|_F = |D U* - W|_F, which is |U D U* - Ms|_F for a unitary U
+        recon_s = float(np.linalg.norm(U.conj() * eigs_s - W.T))
         # 1e-8 n |M|_F + |[M, M*]|_F / |M|_F, which scales with M
         recon_bound_s = 1e-8 * n * fro_s + (defect_s / fro_s if fro_s else 0.0)
         if not recon_s <= recon_bound_s:
@@ -308,29 +317,19 @@ def _power_of_two_scaled(M: np.ndarray) -> tuple[int, np.ndarray]:
     return k, M * 2.0**-k
 
 
-def _scaled_commutator(M: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """k and Ms of :func:`_power_of_two_scaled`, and the Frobenius norm of
-    Ms Ms* - Ms* Ms.  Ms* is freed on return, before ``eigh``: inlined, it
-    raised the traced peak of an n = 256 construction from 6.0 to 7.0 MiB."""
-    k, Ms = _power_of_two_scaled(M)
-    Ms_star = Ms.conj().T
-    return k, Ms, float(np.linalg.norm(Ms @ Ms_star - Ms_star @ Ms))
+def _joint_diagonalize(M: np.ndarray, w: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Unitary U, eigenvalues (the diagonal of W U) and W = U* M of a normal M.
 
-
-def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary U and eigenvalue vector of a normal matrix.
-
-    Diagonalizes the Hermitian part, then fixes the basis inside clusters of
-    nearly equal eigenvalues by diagonalizing the anti-Hermitian part there.
-    Clusters are needed because eigenvectors of nearly degenerate Hermitian
-    eigenvalues are individually ill-conditioned even though their span is
-    stable.  Hermitian eigenvalues closer than 2e-8 max(1, max |w|) form a
-    cluster; M is the generator scaled so that its largest entry is near 1,
-    so the 1 is the generator's own scale.
+    Starts from ``w, U = eigh(H)``, H the Hermitian part of M that the caller's
+    normality check shares, and fixes the basis inside clusters of nearly
+    equal eigenvalues by diagonalizing the anti-Hermitian part there.  Clusters
+    are needed because eigenvectors of nearly degenerate Hermitian eigenvalues
+    are individually ill-conditioned even though their span is stable.
+    Hermitian eigenvalues closer than 2e-8 max(1, max |w|) form a cluster; M is
+    the generator scaled so its largest entry is near 1, the generator's scale.
     """
     n = M.shape[0]
-    w, U = np.linalg.eigh((M + M.conj().T) / 2)
-    # K is formed after eigh (not held during the call), once a cluster needs it
+    # K, the anti-Hermitian part, is formed only once a cluster needs it
     K = None
     gap_tol = 2e-8 * max(1.0, float(np.abs(w).max()))
     wl = w.tolist()
@@ -347,8 +346,9 @@ def _joint_diagonalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _, Q = np.linalg.eigh(Kblock)
             U[:, start:stop] = block @ Q
         start = stop
-    eigs = (U.conj().T @ M @ U).diagonal().copy()
-    return U, eigs
+    W = U.conj().T @ M
+    eigs = (W @ U).diagonal().copy()
+    return U, eigs, W
 
 
 class AlgebraElement:

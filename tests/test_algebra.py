@@ -766,10 +766,40 @@ def test_element_times_a_non_number_is_a_type_error():
 def test_construction_rejects_a_change_of_basis_that_is_not_unitary(monkeypatch):
     diagonalize = cstarlab.algebra._joint_diagonalize
 
-    def doubled(M):
-        U, eigs = diagonalize(M)
-        return 2 * U, eigs
+    def doubled(M, w, U):
+        U, eigs, W = diagonalize(M, w, U)
+        return 2 * U, eigs, W
 
     monkeypatch.setattr(cstarlab.algebra, "_joint_diagonalize", doubled)
     with pytest.raises(DecompositionFailure, match="change of basis is not unitary"):
         make_normal_generator_algebra(np.diag([1.0, 2.0]))
+
+
+def test_construction_rejects_eigenvalues_that_do_not_reproduce_the_generator(
+    monkeypatch,
+):
+    # the residual is read as |D U* - U* M|_F, so it must see eigenvalues
+    # that differ from the diagonal of U* M U
+    diagonalize = cstarlab.algebra._joint_diagonalize
+
+    def shifted(M, w, U):
+        U, eigs, W = diagonalize(M, w, U)
+        return U, eigs + 1e-6, W
+
+    monkeypatch.setattr(cstarlab.algebra, "_joint_diagonalize", shifted)
+    with pytest.raises(DecompositionFailure, match="does not reproduce the generator"):
+        make_normal_generator_algebra(conjugated([1, 2, 3j, -1 - 1j]))
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_not_normal_defect_is_the_commutator_norm(n):
+    # the construction reads |M M* - M* M|_F as 2 |HK - (HK)*|_F for the
+    # Hermitian and anti-Hermitian parts H and K; the oracle is the plain one
+    rng = np.random.default_rng([n, 31])
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    commutator = M @ M.conj().T - M.conj().T @ M
+    expected = float(np.sqrt(np.sum(np.abs(commutator) ** 2)))
+    for k in (0, 300, -300):
+        with pytest.raises(NotNormal) as info:
+            make_normal_generator_algebra(M * 2.0**k)
+        assert info.value.defect == pytest.approx(np.ldexp(expected, 2 * k), rel=1e-12)

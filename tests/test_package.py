@@ -71,8 +71,13 @@ def _imported(*args: str) -> set[str]:
 
 @pytest.mark.parametrize(
     "args",
-    [["-c", "import cstarlab.cli"], ["-m", "cstarlab", "spectrum", *ARGV]],
-    ids=["import-cli", "spectrum"],
+    [
+        ["-c", "import cstarlab.cli"],
+        # the import system asks the package for ``cli`` before importing it
+        ["-c", "from cstarlab import cli"],
+        ["-m", "cstarlab", "spectrum", *ARGV],
+    ],
+    ids=["import-cli", "from-cstarlab-import-cli", "spectrum"],
 )
 def test_cli_loads_no_module_its_command_does_not_run(args):
     imported = _imported(*args)

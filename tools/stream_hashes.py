@@ -1,6 +1,7 @@
 """Print the sha256 of every output stream that a refactor must keep.
 
     python3 tools/stream_hashes.py > hashes.txt
+    python3 tools/stream_hashes.py --against ../other-checkout
 
 Runs from any directory and imports the package from the ``src/`` of the
 checkout it sits in, so running it in two checkouts and diffing the two
@@ -37,15 +38,27 @@ check's name, instance, defect repr and verdict: ``verify_equivalence`` on
 the spaces and the function algebras of {1, ..., 12} points (24) and on 12
 seeded normal generator algebras with repeated eigenvalues (12), and
 ``verify_naturality_tau`` on 12 seeded homomorphisms (12).
+
+``verify`` builds generators of dimension 12 at most, so the construction
+streams pin what ``make_normal_generator_algebra`` stores: the eigenvalues,
+the eigenvector bytes, the distinct spectrum and the multiplicity map, for
+the same seeds at n {64, 256, 512}, on a generator with n distinct
+eigenvalues and on one with 32, each used at least once (30 streams).
+
+``--against DIR`` runs the tool of the checkout at DIR in a child process,
+prints the name of each stream whose hash differs or that only one side
+has, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import io
 import itertools
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,6 +100,8 @@ COEFFICIENTS = (0.5, -1 + 0.25j, 0.125j)
 SERIES_DIMS = (32, 64, 512)
 SPECTRUM_DIMS = (64, 512, 2048)
 NORM_DIMS = (16, 64)
+CONSTRUCTION_DIMS = (64, 256, 512)
+REPEATED_DISTINCT = 32
 REPORT_SIZES = range(1, 13)
 REPORT_SEEDS = range(12)
 
@@ -233,15 +248,78 @@ def _report_streams():
         yield f"naturality_tau seed={seed}", _report_bytes(verify_naturality_tau(phi))
 
 
-def main() -> int:
+def _construction_streams():
+    """(name, bytes) for what a construction stores, in a fixed order."""
+    for seed in SEEDS:
+        for n in CONSTRUCTION_DIMS:
+            for kind, distinct in (("distinct", n), ("repeated", REPEATED_DISTINCT)):
+                rng = np.random.default_rng([seed, n, distinct, 6])
+                algebra = make_normal_generator_algebra(_normal_generator(rng, distinct, n))
+                stream = (
+                    np.array(algebra.eigenvalues, dtype=complex).tobytes()
+                    + algebra.eigenvectors.tobytes()
+                    + np.array(algebra.distinct_spectrum.points, dtype=complex).tobytes()
+                    + repr(algebra.multiplicity_map).encode()
+                )
+                yield f"construction {kind} seed={seed} n={n}", stream
+
+
+def _lines():
+    """Every ``sha256  name`` line, in a fixed order."""
     for name, config in _streams():
         out = io.StringIO()
         code = cli.run(config, out)
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        print(f"{digest}  {name} exit={code}")
-    streams = itertools.chain(_series_streams(), _spectrum_streams(), _report_streams())
+        yield f"{digest}  {name} exit={code}"
+    streams = itertools.chain(
+        _series_streams(), _spectrum_streams(), _report_streams(), _construction_streams()
+    )
     for name, stream in streams:
-        print(f"{hashlib.sha256(stream).hexdigest()}  {name}")
+        yield f"{hashlib.sha256(stream).hexdigest()}  {name}"
+
+
+def _by_name(lines) -> dict[str, str]:
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def _against(other: Path) -> int:
+    """Print each stream that differs from the checkout at ``other``; 1 if any does."""
+    proc = subprocess.run(
+        [sys.executable, str(other / "tools" / "stream_hashes.py")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    theirs = _by_name(proc.stdout.splitlines())
+    ours = _by_name(_lines())
+    differ = 0
+    for name in [*ours, *(name for name in theirs if name not in ours)]:
+        if name not in theirs:
+            print(f"{name}  (only here)")
+        elif name not in ours:
+            print(f"{name}  (only in {other})")
+        elif ours[name] != theirs[name]:
+            print(name)
+        else:
+            continue
+        differ += 1
+    print(f"{differ} of {len(ours.keys() | theirs.keys())} streams differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument(
+        "--against",
+        type=Path,
+        metavar="DIR",
+        help="compare with the tool of the checkout at DIR, run in a child process",
+    )
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return _against(args.against)
+    for line in _lines():
+        print(line)
     return 0
 
 
