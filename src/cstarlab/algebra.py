@@ -327,10 +327,13 @@ def _joint_diagonalize(M: np.ndarray, w: np.ndarray, U: np.ndarray) -> tuple[np.
     are individually ill-conditioned even though their span is stable.
     Hermitian eigenvalues closer than 2e-8 max(1, max |w|) form a cluster; M is
     the generator scaled so its largest entry is near 1, the generator's scale.
+    W is formed once: a cluster's block of the anti-Hermitian part is
+    (B - B*)/2i for B = W[s:e] U[:, s:e], each rotation of U's columns rotates
+    W's rows with it (n k^2 work for a cluster of k), and the eigenvalues are
+    the diagonal of W U, n^2 work.
     """
     n = M.shape[0]
-    # K, the anti-Hermitian part, is formed only once a cluster needs it
-    K = None
+    W = U.conj().T @ M
     gap_tol = 2e-8 * max(1.0, float(np.abs(w).max()))
     wl = w.tolist()
     start = 0
@@ -338,16 +341,12 @@ def _joint_diagonalize(M: np.ndarray, w: np.ndarray, U: np.ndarray) -> tuple[np.
         if stop < n and wl[stop] - wl[stop - 1] <= gap_tol:
             continue
         if stop - start > 1:
-            if K is None:
-                K = (M - M.conj().T) / 2j
-            block = U[:, start:stop]
-            Kblock = block.conj().T @ K @ block
-            Kblock = (Kblock + Kblock.conj().T) / 2
-            _, Q = np.linalg.eigh(Kblock)
-            U[:, start:stop] = block @ Q
+            Mb = W[start:stop] @ U[:, start:stop]
+            _, Q = np.linalg.eigh((Mb - Mb.conj().T) / 2j)
+            U[:, start:stop] = U[:, start:stop] @ Q
+            W[start:stop] = Q.conj().T @ W[start:stop]
         start = stop
-    W = U.conj().T @ M
-    eigs = (W @ U).diagonal().copy()
+    eigs = np.vecdot(W.conj(), U.T)
     return U, eigs, W
 
 

@@ -49,3 +49,50 @@ def test_against_names_each_stream_that_differs(tool, tmp_path, monkeypatch, cap
     monkeypatch.setattr(tool, "_lines", lambda: iter(theirs))
     assert tool.main(["--against", str(tmp_path)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_pins_names_each_golden_entry_that_differs(tool, tmp_path, monkeypatch, capsys):
+    # the tool reads the pinned entries from tests/test_cli.py; structured
+    # (0, 4), text (0, 4) and the structured spectrum of the matrix document
+    # are pinned there, and text (1, 4) is not
+    def line(digit, name):
+        return digit * 64 + "  " + name
+
+    theirs = [
+        line("a", "verify structured seed=0 max_size=4 exit=0"),
+        line("a", "verify structured seed=0 max_size=8 exit=0"),
+        line("b", "verify text seed=0 max_size=4 exit=0"),
+        line("c", "verify text seed=1 max_size=4 exit=0"),
+        line("d", "spectrum structured matrix exit=0"),
+    ]
+    ours = [
+        line("a", "verify structured seed=0 max_size=4 exit=0"),
+        line("a", "verify structured seed=0 max_size=8 exit=1"),
+        line("e", "verify text seed=0 max_size=4 exit=0"),
+        line("f", "verify text seed=1 max_size=4 exit=0"),
+        line("0", "spectrum structured matrix exit=0"),
+    ]
+    (tmp_path / "tools").mkdir()
+    listing = "\n".join(theirs)
+    (tmp_path / "tools" / "stream_hashes.py").write_text(f"print({listing!r})\n")
+
+    monkeypatch.setattr(tool, "_lines", lambda: iter(ours))
+    assert tool.main(["--against", str(tmp_path), "--pins"]) == 1
+    captured = capsys.readouterr()
+    # a pin is a prefix of the hash of stdout, so an exit code alone moves none
+    assert captured.out.splitlines() == [
+        "text (0, 4): bbbbbbbbbbbb -> eeeeeeeeeeee",
+        "spectrum matrix structured: dddddddddddd -> 000000000000",
+    ]
+    assert captured.err == f"2 of {len(tool._pin_labels())} pinned entries differ\n"
+
+    monkeypatch.setattr(tool, "_lines", lambda: iter(theirs))
+    assert tool.main(["--against", str(tmp_path), "--pins"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_pins_needs_against(tool, capsys):
+    with pytest.raises(SystemExit) as info:
+        tool.main(["--pins"])
+    assert info.value.code == 2
+    assert "--pins needs --against DIR" in capsys.readouterr().err
