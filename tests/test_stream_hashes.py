@@ -51,7 +51,7 @@ def test_against_names_each_stream_that_differs(tool, tmp_path, monkeypatch, cap
     assert capsys.readouterr().out == ""
 
 
-def test_pins_names_each_golden_entry_that_differs(tool, tmp_path, monkeypatch, capsys):
+def test_against_then_names_each_pinned_entry_that_differs(tool, tmp_path, monkeypatch, capsys):
     # the tool reads the pinned entries from tests/test_cli.py; structured
     # (0, 4), text (0, 4) and the structured spectrum of the matrix document
     # are pinned there, and text (1, 4) is not
@@ -77,22 +77,16 @@ def test_pins_names_each_golden_entry_that_differs(tool, tmp_path, monkeypatch, 
     (tmp_path / "tools" / "stream_hashes.py").write_text(f"print({listing!r})\n")
 
     monkeypatch.setattr(tool, "_lines", lambda: iter(ours))
-    assert tool.main(["--against", str(tmp_path), "--pins"]) == 1
+    assert tool.main(["--against", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     # a pin is a prefix of the hash of stdout, so an exit code alone moves none
     assert captured.out.splitlines() == [
+        "verify structured seed=0 max_size=8 exit=1  (only here)",
+        "verify text seed=0 max_size=4 exit=0",
+        "verify text seed=1 max_size=4 exit=0",
+        "spectrum structured matrix exit=0",
+        f"verify structured seed=0 max_size=8 exit=0  (only in {tmp_path})",
         "text (0, 4): bbbbbbbbbbbb -> eeeeeeeeeeee",
         "spectrum matrix structured: dddddddddddd -> 000000000000",
     ]
-    assert captured.err == f"2 of {len(tool._pin_labels())} pinned entries differ\n"
-
-    monkeypatch.setattr(tool, "_lines", lambda: iter(theirs))
-    assert tool.main(["--against", str(tmp_path), "--pins"]) == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_pins_needs_against(tool, capsys):
-    with pytest.raises(SystemExit) as info:
-        tool.main(["--pins"])
-    assert info.value.code == 2
-    assert "--pins needs --against DIR" in capsys.readouterr().err
+    assert captured.err == "5 of 6 streams differ\n"

@@ -2,7 +2,6 @@
 
     python3 tools/stream_hashes.py > hashes.txt
     python3 tools/stream_hashes.py --against ../other-checkout
-    python3 tools/stream_hashes.py --against ../other-checkout --pins
 
 Runs from any directory and imports the package from the ``src/`` of the
 checkout it sits in, so running it in two checkouts and diffing the two
@@ -48,12 +47,11 @@ eigenvalues and on one with 32, each used at least once (30 streams).
 
 ``--against DIR`` runs the tool of the checkout at DIR in a child process,
 prints the name of each stream whose hash differs or that only one side
-has, and exits 1 if there is any.  With ``--pins`` it prints instead each
-entry of ``tests/test_cli.py`` whose stream differs, as ``label: old ->
-new`` with 12-character prefixes, DIR's first: ``structured (0, 4)`` for a
-``GOLDEN_VERIFY_STREAMS`` key, ``text (0, 4)`` for a
-``GOLDEN_VERIFY_TEXT_STREAMS`` key and ``spectrum matrix structured`` for a
-``GOLDEN_DATA_STREAMS`` key; it exits 1 if any entry differs.
+has, then each entry of ``tests/test_cli.py`` whose stream differs, as
+``label: old -> new`` with 12-character prefixes, DIR's first:
+``structured (0, 4)`` for a ``GOLDEN_VERIFY_STREAMS`` key, ``text (0, 4)``
+for a ``GOLDEN_VERIFY_TEXT_STREAMS`` key and ``spectrum matrix structured``
+for a ``GOLDEN_DATA_STREAMS`` key.  It exits 1 if any stream differs.
 """
 
 from __future__ import annotations
@@ -288,9 +286,9 @@ def _by_name(lines) -> dict[str, str]:
     return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
 
 
-def _pin_labels() -> dict[str, str]:
-    """The stream name, without its exit code, of each ``tests/test_cli.py``
-    entry, and the entry's label, in the order of that file."""
+def _pins(theirs: dict[str, str], ours: dict[str, str]) -> None:
+    """Print each ``tests/test_cli.py`` entry whose stream differs, old -> new,
+    in the order of that file.  A stream that one side lacks reads as ``-``."""
     golden = _golden_cli_module()
     labels = {}
     for fmt, pins in (
@@ -301,30 +299,20 @@ def _pin_labels() -> dict[str, str]:
             labels[f"verify {fmt} seed={seed} max_size={max_size}"] = f"{fmt} ({seed}, {max_size})"
     for command, doc, fmt in golden.GOLDEN_DATA_STREAMS:
         labels[f"{command} {fmt} {doc}"] = f"{command} {doc} {fmt}"
-    return labels
-
-
-def _pins(theirs: dict[str, str], ours: dict[str, str]) -> int:
-    """Print each ``tests/test_cli.py`` entry whose stream differs, old -> new;
-    1 if any does.  A stream that one side lacks reads as ``-``."""
+    # a pin is a prefix of the hash of stdout, so an exit code alone moves none
     theirs, ours = (
         {name.rsplit(" exit=", 1)[0]: digest for name, digest in side.items()}
         for side in (theirs, ours)
     )
-    labels = _pin_labels()
-    differ = 0
     for name, label in labels.items():
         old, new = theirs.get(name, "-")[:12], ours.get(name, "-")[:12]
         if old != new:
             print(f"{label}: {old} -> {new}")
-            differ += 1
-    print(f"{differ} of {len(labels)} pinned entries differ", file=sys.stderr)
-    return 1 if differ else 0
 
 
-def _against(other: Path, pins: bool) -> int:
-    """Print each stream that differs from the checkout at ``other``, or with
-    ``pins`` each pinned entry that does; 1 if any does."""
+def _against(other: Path) -> int:
+    """Print each stream that differs from the checkout at ``other``, then each
+    pinned entry that does; 1 if any stream differs."""
     proc = subprocess.run(
         [sys.executable, str(other / "tools" / "stream_hashes.py")],
         capture_output=True,
@@ -333,8 +321,6 @@ def _against(other: Path, pins: bool) -> int:
     )
     theirs = _by_name(proc.stdout.splitlines())
     ours = _by_name(_lines())
-    if pins:
-        return _pins(theirs, ours)
     differ = 0
     for name in [*ours, *(name for name in theirs if name not in ours)]:
         if name not in theirs:
@@ -346,6 +332,7 @@ def _against(other: Path, pins: bool) -> int:
         else:
             continue
         differ += 1
+    _pins(theirs, ours)
     print(f"{differ} of {len(ours.keys() | theirs.keys())} streams differ", file=sys.stderr)
     return 1 if differ else 0
 
@@ -358,16 +345,9 @@ def main(argv=None) -> int:
         metavar="DIR",
         help="compare with the tool of the checkout at DIR, run in a child process",
     )
-    parser.add_argument(
-        "--pins",
-        action="store_true",
-        help="with --against: print the tests/test_cli.py entries that differ, old -> new",
-    )
     args = parser.parse_args(argv)
-    if args.pins and args.against is None:
-        parser.error("--pins needs --against DIR")
     if args.against is not None:
-        return _against(args.against, args.pins)
+        return _against(args.against)
     for line in _lines():
         print(line)
     return 0
