@@ -297,7 +297,6 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
             return True
         return (
             isinstance(other, NormalGeneratorAlgebra)
-            and self.dimension_n == other.dimension_n
             and np.array_equal(self.generator, other.generator)
         )
 

@@ -192,20 +192,14 @@ def verify_naturality_tau(phi: StarHomomorphism) -> EquivalenceReport:
 
     Both paths from the source algebra to functions on the target's
     character space are applied to every indicator basis element, and the
-    defect is the largest coordinate gap (equivalently, the worst character
-    evaluation), taken once over the two stacked paths.
+    defect is the largest norm of their difference (equivalently, the worst
+    character evaluation).
     """
     A, B = phi.source, phi.target
     tau_A, tau_B = tau(A), tau(B)
     double_dual = functor_G_morphism(functor_F_morphism(phi))
-    dual_path, direct_path = [], []
-    for i in range(A.dim):
-        u = A._indicator(i)
-        left, right = double_dual(tau_A(u)), tau_B(phi(u))
-        left._check_same(right)
-        dual_path.append(left.coords)
-        direct_path.append(right.coords)
-    defect = _gap(np.array(dual_path), np.array(direct_path))
+    basis = [A._indicator(i) for i in range(A.dim)]
+    defect = max((double_dual(tau_A(u)) - tau_B(phi(u))).norm() for u in basis)
     name = f"{A.describe()} -> {B.describe()}"
     return EquivalenceReport(name, (check("naturality_tau", name, defect),))
 

@@ -57,12 +57,10 @@ def _unscale(x: float, k: int) -> tuple[float, str]:
         value = math.ldexp(x, k)
         return value, f"{value:.3e}"
     except OverflowError:
-        exp10 = math.log10(x) + k * math.log10(2.0)
-        e = math.floor(exp10)
-        mantissa = round(10.0 ** (exp10 - e), 3)
-        if mantissa >= 10.0:
-            mantissa, e = mantissa / 10.0, e + 1
-        return math.inf, f"{mantissa:.3f}e+{e}"
+        # x 2^k >= 2^1024 here, so it is an integer and Decimal rounds it exactly
+        from decimal import Decimal
+        n, d = x.as_integer_ratio()
+        return math.inf, f"{Decimal((n << k) // d):.3e}"
 
 
 class NotNormal(CstarError):

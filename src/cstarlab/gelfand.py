@@ -64,13 +64,9 @@ class CharacterSpace:
     algebra: CommutativeAlgebra
     members: tuple[Character, ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
     def as_finite_space(self) -> FiniteSpace:
         """The character space as a finite space labelled by indices."""
-        return _index_function_algebra(self.count).space
+        return _index_function_algebra(len(self.members)).space
 
     def __iter__(self):
         return iter(self.members)

@@ -135,18 +135,13 @@ def _indices(mask: int) -> list[int]:
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    """A quotient A/I presented as functions on the zero set of I."""
+class QuotientAlgebra(FunctionAlgebra):
+    """A quotient A/I: the function algebra on the zero set of I."""
 
-    base: CommutativeAlgebra
-    ideal: Ideal
-    space: FiniteSpace
-    model: FunctionAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
+    def __init__(self, base: CommutativeAlgebra, ideal: Ideal, space: FiniteSpace):
+        FunctionAlgebra.__init__(self, space)
+        self.base = base
+        self.ideal = ideal
 
     def quotient_norm(self, a: AlgebraElement) -> float:
         """Norm of the coset of ``a``: the sup over the zero set."""
@@ -180,9 +175,8 @@ def quotient(
         raise ImproperIdeal("cannot quotient by the whole algebra")
     indices = ideal._zero_indices
     space = FiniteSpace(tuple(algebra.character_label(i) for i in indices))
-    model = FunctionAlgebra(space)
-    projection = StarHomomorphism(algebra, model, tuple(indices))
-    return QuotientAlgebra(algebra, ideal, space, model), projection
+    q = QuotientAlgebra(algebra, ideal, space)
+    return q, StarHomomorphism(algebra, q, tuple(indices))
 
 
 def factor_through_quotient(
@@ -207,7 +201,7 @@ def factor_through_quotient(
     q, projection = quotient(phi.source, ideal)
     position = {z: k for k, z in enumerate(projection.character_images)}
     images = tuple(position[img] for img in phi.character_images)
-    return StarHomomorphism(q.model, phi.target, images)
+    return StarHomomorphism(q, phi.target, images)
 
 
 def max_ideals(algebra: CommutativeAlgebra) -> tuple[MaximalIdeal, ...]:

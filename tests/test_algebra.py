@@ -1,5 +1,6 @@
 """Core algebra models: construction, operations, homomorphisms."""
 
+import math
 import warnings
 
 import numpy as np
@@ -304,6 +305,43 @@ def test_unscaled_text_carries_a_mantissa_that_rounds_up_to_ten():
     # 73.62122380415825 * 2^1100 is 9.99997...e+332, whose mantissa rounds
     # to 10.000 at three decimals; the text moves it into the exponent
     assert _unscale(73.62122380415825, 1100) == (np.inf, "1.000e+333")
+
+
+def _exact_text(x: float, k: int) -> str:
+    """x 2^k in ``.3e`` form from the exact integer, rounded half-even."""
+    num, den = x.as_integer_ratio()
+    value = (num << k) // den  # exact: x 2^k >= 2^1024 is an integer
+    digits = str(value)
+    unit = 10 ** (len(digits) - 4)
+    q, r = divmod(value, unit)
+    if 2 * r > unit or (2 * r == unit and q % 2):
+        q += 1
+    e = len(digits) - 1
+    if q == 10000:
+        q, e = 1000, e + 1
+    return f"{q // 1000}.{q % 1000:03d}e+{e}"
+
+
+def test_unscaled_text_is_the_correctly_rounded_text_past_the_float_limit():
+    rng = np.random.default_rng(31)
+    cases = []
+    # floats within a few ulps of a four-digit boundary d.ddd5 10^e
+    for m, e in zip(rng.integers(1000, 10000, 400), rng.integers(309, 400, 400)):
+        boundary = (10 * int(m) + 5) * 10 ** (int(e) - 4)
+        k = boundary.bit_length() - 1
+        x = boundary / (1 << k)  # correctly rounded, in [1, 2)
+        cases.append((x, k))
+        for toward in (0.0, 4.0):
+            y = x
+            for _ in range(2):
+                y = math.nextafter(y, toward)
+                cases.append((y, k))
+    # random values whose product with 2^k overflows
+    for x, j in zip(rng.uniform(1e-3, 1e6, 200), rng.integers(1, 300, 200)):
+        cases.append((float(x), 1024 - math.frexp(x)[1] + int(j)))
+    assert len(cases) == 2200
+    wrong = [(x, k) for x, k in cases if _unscale(x, k) != (np.inf, _exact_text(x, k))]
+    assert not wrong, f"{len(wrong)} wrong, first {wrong[0]}"
 
 
 def test_generators_near_the_float_limit_keep_their_spectra():

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarlab import (
+    FunctionAlgebra,
     Ideal,
     ImproperIdeal,
     InvalidSubset,
     MaximalIdeal,
     NotContained,
+    QuotientAlgebra,
     StarHomomorphism,
     closed_set_from_ideal,
     factor_through_quotient,
@@ -208,6 +210,26 @@ def test_factorization_requires_containment(A3):
     witness = info.value.witness
     assert too_big.contains(witness)
     assert phi(witness).norm() > 0
+
+
+def test_projection_lands_in_the_quotient_on_both_models(A3):
+    matrices = make_normal_generator_algebra(np.diag([1.0, 2.0, 2.0, 3.0]))
+    two_points = make_function_algebra(("p", "q"))
+    for phi in (
+        restriction_homomorphism(A3, ("1", "3")),
+        make_star_homomorphism((0, 2), matrices, two_points),
+    ):
+        algebra = phi.source
+        I = kernel_ideal(phi)
+        q, pi = quotient(algebra, I)
+        a = algebra.element(np.arange(1.0, algebra.dim + 1) * (1 - 0.5j))
+        assert pi.target is q and pi(a).algebra is q
+        # the quotient is the function algebra on the zero set's labels
+        assert q == FunctionAlgebra(q.space) and hash(q) == hash(FunctionAlgebra(q.space))
+        assert q.space.points == closed_set_from_ideal(I)
+        psi = factor_through_quotient(phi, I)
+        assert isinstance(psi.source, QuotientAlgebra) and psi.source == q
+        assert (psi(pi(a)) - phi(a)).norm() == 0.0
 
 
 # ---------------------------------------------------------------------------

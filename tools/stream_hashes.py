@@ -95,6 +95,7 @@ from cstarlab.sampling import (  # noqa: E402
     random_algebra,
     random_normal_generator_algebra,
     random_pullback_hom,
+    random_unitary,
 )
 from cstarlab.spectra import DEFAULT_MERGE_TOL  # noqa: E402
 
@@ -186,8 +187,7 @@ def _normal_generator(rng, distinct, n):
             break
     picks = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
     eigenvalues = values[rng.permutation(picks)]
-    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    U = random_unitary(rng, n)
     return (U * eigenvalues) @ U.conj().T
 
 
