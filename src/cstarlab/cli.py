@@ -13,6 +13,7 @@ identical across runs, which makes golden-file diffing trivial.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import dataclass
@@ -93,6 +94,8 @@ def run(config: RunConfig, out=None) -> int:
         return _fail("--seed must be non-negative")
     if config.max_size < 1:
         return _fail("--max-size must be at least 1")
+    if config.input_path is not None and config.inline is not None:
+        return _fail("give one of --input and --inline, not both")
 
     if config.command == "verify":
         return _cmd_verify(config, out)
@@ -100,7 +103,11 @@ def run(config: RunConfig, out=None) -> int:
     # an overflow while building the algebra or an element raises a
     # CstarError (NonFinite, NotNormal, DecompositionFailure), and
     # _cmd_quotient checks the quotient norm it computes outside them, so
-    # numpy's floating-point warnings would only repeat that message
+    # numpy's floating-point warnings would only repeat that message.  A data
+    # command builds only acyclic containers, all freed by reference counting, so
+    # the collector is paused; gc state is process-wide: run undoes only its change
+    paused = gc.isenabled()
+    gc.disable()
     with np.errstate(all="ignore"):
         try:
             try:
@@ -110,6 +117,9 @@ def run(config: RunConfig, out=None) -> int:
             return _DATA_COMMANDS[config.command](config, element, out)
         except CstarError as exc:
             return _fail(f"invalid input: {exc}")
+        finally:
+            if paused:
+                gc.enable()
 
 
 def _spectrum_record(points, tol: float) -> dict:

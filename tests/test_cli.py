@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from cstarlab import cli, verify
 from cstarlab.errors import NonFinite
-from cstarlab.interchange import complex_pairs
+from cstarlab.interchange import complex_pairs, load_document
 from cstarlab.sampling import random_complex
 from cstarlab.verify import CheckRecord
 
@@ -351,6 +352,80 @@ def test_write_error_is_not_reported_as_a_read_error(capsys):
     with pytest.raises(OSError, match="output closed"):
         cli.run(cli.RunConfig(command="spectrum", inline=DIAG123), BrokenOutput())
     assert capsys.readouterr().err == ""
+
+
+def test_input_and_inline_together_exit_2(capsys):
+    code, text = run_cli(command="spectrum", inline=DIAG123, input_path="/no/such/file")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "give one of --input and --inline, not both\n"
+
+
+NOT_NORMAL = json.dumps(
+    {"kind": "normal_matrix", "n": 2, "entries": [[1, 0], [1, 0], [0, 0], [1, 0]]}
+)
+
+
+def _raise_runtime_error(config, element, out):
+    raise RuntimeError("unexpected")
+
+
+@pytest.mark.parametrize(
+    "kwargs, code",
+    [
+        ({"inline": DIAG123}, 0),
+        ({"inline": NOT_NORMAL}, 2),
+        ({"input_path": "/no/such/file.json"}, 2),
+        ({"inline": DIAG123}, None),
+    ],
+    ids=["exit-0", "cstar-error", "os-error", "runtime-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_data_commands_leave_the_collector_as_they_found_it(monkeypatch, kwargs, code, enabled):
+    if code is None:
+        monkeypatch.setitem(cli._DATA_COMMANDS, "spectrum", _raise_runtime_error)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="unexpected"):
+                run_cli(command="spectrum", **kwargs)
+        else:
+            assert run_cli(command="spectrum", **kwargs)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_no_collection_starts_inside_a_data_command():
+    n = 5000
+    doc = json.dumps(
+        {
+            "kind": "function_algebra",
+            "points": [f"x{i}" for i in range(n)],
+            "values": [[float(i), 0.0] for i in range(n)],
+        }
+    )
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        # with the collector on, parsing the document alone starts collections
+        load_document(doc)
+        assert starts
+        starts.clear()
+        code, text = run_cli(command="spectrum", inline=doc)
+        assert starts == []
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was_enabled else gc.disable)()
+    assert code == 0
+    assert text.startswith(f"{n} spectrum point(s)")
 
 
 def test_parser_defaults_are_the_run_config_defaults():
