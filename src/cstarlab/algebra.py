@@ -211,15 +211,15 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         H = (Ms + Ms.conj().T) / 2
         X = H @ ((Ms - Ms.conj().T) / 2j)
         defect_s = 2 * float(np.linalg.norm(X - X.conj().T))
-        del X
         fro_s = float(np.linalg.norm(Ms))
+        del X, Ms  # only H goes into eigh; Ms is rebuilt after it
         bound_s = _NORMALITY_TOL * fro_s * fro_s
         if not defect_s <= bound_s:
             raise NotNormal(defect_s, bound_s, 2 * k)
 
         w, U = np.linalg.eigh(H)
         del H
-        U, eigs_s, W = _joint_diagonalize(Ms, w, U)
+        U, eigs_s, W = _joint_diagonalize(M * 2.0**-k, w, U)
         gram = U.conj().T @ U
         gram.reshape(-1)[:: n + 1] -= 1.0  # U* U - I, without building I
         unitary_defect = float(np.linalg.norm(gram))

@@ -59,7 +59,8 @@ def _fmt_all(values) -> str:
 
 def _fail(message: str) -> int:
     """Report bad input or configuration on stderr; the exit code is 2."""
-    print(message, file=sys.stderr)
+    # on one line: a document's label can hold a line break, which repr escapes
+    print("".join(c if c.isprintable() else repr(c)[1:-1] for c in message), file=sys.stderr)
     return 2
 
 

@@ -1,6 +1,7 @@
 """Core algebra models: construction, operations, homomorphisms."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -764,6 +765,30 @@ def test_construction_subtracts_the_identity_in_place_bit_for_bit(monkeypatch):
             assert len(seen) == 4
             assert seen[2].tobytes() == (V.conj().T @ V - np.eye(n)).tobytes()
 
+
+
+def test_construction_holds_one_n_by_n_array_when_eigh_starts(monkeypatch):
+    # the generator is built before tracing starts, so the traced arrays are
+    # construction's own; H is the one eigh needs
+    n = 256
+    rng = np.random.default_rng(5)
+    U = random_unitary(rng, n)
+    N = (U * (rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n))) @ U.conj().T
+    seen = []
+    eigh = np.linalg.eigh
+
+    def traced_eigh(H):
+        seen.append((tracemalloc.get_traced_memory()[0], H.nbytes))
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+    tracemalloc.start()
+    try:
+        make_normal_generator_algebra(N)
+    finally:
+        tracemalloc.stop()
+    traced, nbytes = seen[0]
+    assert traced <= 1.5 * nbytes
 
 def test_indicators_are_read_only():
     for algebra in (

@@ -1,14 +1,18 @@
 """Command line behavior: exit codes, formats, determinism."""
 
+import contextlib
 import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarlab import cli, verify
 from cstarlab.errors import NonFinite
@@ -426,6 +430,121 @@ def test_no_collection_starts_inside_a_data_command():
         (gc.enable if was_enabled else gc.disable)()
     assert code == 0
     assert text.startswith(f"{n} spectrum point(s)")
+
+
+def test_a_label_with_a_line_break_stays_on_one_stderr_line(capsys):
+    doc = json.dumps(
+        {"kind": "function_algebra", "points": ["p", "\n"], "values": [[0, 0], [0, 0]]}
+    )
+    assert run_cli(command="quotient", inline=doc, zero_set=("q",)) == (2, "")
+    assert capsys.readouterr().err == (
+        "invalid input: 'q' does not name a character of C({p,\\n})\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# fuzz: whatever the document and flags, a clean exit
+
+# every finite float, subnormals included, the edges of the float range (1e154
+# squares to about 1e308) and small values, whose documents mostly succeed
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, 1.7e308, 1e154, -1e154, 5e-324, -2.2e-308, 0.0, -0.0]),
+    st.floats(-4.0, 4.0),
+)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([10**309, -(10**309), 2**1024]),
+)
+PAIRS = st.lists(FLOATS, min_size=2, max_size=2)
+BAD_PAIRS = st.one_of(JUNK, st.lists(st.one_of(FLOATS, JUNK), max_size=3))
+
+
+@st.composite
+def matrix_documents(draw):
+    """A diagonal, Hermitian or general matrix; only the general may be non-normal."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["diagonal", "hermitian", "general"]))
+    entries = [draw(PAIRS) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            if shape == "diagonal" and i != j:
+                entries[i * n + j] = [0.0, 0.0]
+            elif shape == "hermitian" and i > j:
+                re, im = entries[j * n + i]
+                entries[i * n + j] = [re, -im]
+            elif shape == "hermitian" and i == j:
+                entries[i * n + j] = [entries[i * n + j][0], 0.0]
+    return {"kind": "normal_matrix", "n": n, "entries": entries}
+
+
+@st.composite
+def function_documents(draw):
+    points = draw(st.lists(st.sampled_from(["p", "q", "r", "0", "1"]) | st.text(max_size=2),
+                           min_size=1, max_size=5, unique=True))
+    return {"kind": "function_algebra", "points": points,
+            "values": [draw(PAIRS) for _ in points]}
+
+
+@st.composite
+def malformed_documents(draw):
+    """A near-valid document with one field replaced, one pair broken or a key dropped."""
+    doc = draw(st.one_of(matrix_documents(), function_documents()))
+    key = draw(st.sampled_from(sorted(doc)))
+    how = draw(st.sampled_from(["replace", "break-pair", "drop"]))
+    if how == "drop":
+        del doc[key]
+    elif how == "break-pair" and isinstance(doc[key], list) and doc[key]:
+        doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(BAD_PAIRS)
+    else:
+        doc[key] = draw(st.one_of(
+            JUNK,
+            st.lists(JUNK, max_size=4),
+            st.lists(st.sampled_from(["p", "q"]), min_size=2, max_size=3),
+            st.sampled_from(["normal_matrix", "function_algebra", "matrix", 0, -1, 4, 2**70]),
+        ))
+    return doc
+
+
+VALID = st.one_of(matrix_documents(), function_documents()).map(json.dumps)
+INVALID = st.one_of(malformed_documents().map(json.dumps), JUNK.map(json.dumps), st.text(max_size=8))
+# half of the documents and most flags are valid, so every command also runs to
+# exit 0 (one_of would flatten VALID and INVALID into one uniform choice)
+DOCUMENTS = st.booleans().flatmap(lambda valid: VALID if valid else INVALID)
+COMPLEX = st.one_of(st.builds(complex, FLOATS, FLOATS), st.complex_numbers())
+CONFIGS = st.builds(
+    cli.RunConfig,
+    command=st.sampled_from([*cli.COMMANDS, "nope"]),
+    inline=DOCUMENTS,
+    tol=st.one_of(st.just(cli.RunConfig.tol), FLOATS.map(abs), st.floats()),
+    seed=st.integers(0, 3),
+    max_size=st.integers(1, 3),
+    output_format=st.sampled_from([*cli.FORMATS] * 3 + ["xml"]),
+    coefficients=st.none() | st.lists(COMPLEX, min_size=1, max_size=4).map(tuple),
+    zero_set=st.none() | st.lists(
+        st.sampled_from(["p", "q", "0", "1", "2"]) | st.text(max_size=2), min_size=1, max_size=3
+    ).map(tuple),
+)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(CONFIGS)
+def test_run_exits_cleanly_on_any_document_and_flags(config):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.run(config, out)
+    # verify exits 1 when a law fails at the drawn tolerance
+    assert code in ((0, 1, 2) if config.command == "verify" else (0, 2))
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_parser_defaults_are_the_run_config_defaults():
