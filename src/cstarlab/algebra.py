@@ -83,7 +83,7 @@ def _character_index(i, dim: int, error: type[Exception]) -> int:
 
 
 class CommutativeAlgebra:
-    """Shared surface of both algebra models."""
+    """Shared surface of both algebra models; each defines character_label and describe."""
 
     dim: int
 
@@ -120,9 +120,6 @@ class CommutativeAlgebra:
         coords[i] = 1.0
         return AlgebraElement(self, _readonly(coords))
 
-    def character_label(self, i: int) -> str:
-        raise NotImplementedError
-
     def character_mask(self, keys) -> int:
         """The bit mask of the characters that ``keys`` name.
 
@@ -148,9 +145,6 @@ class CommutativeAlgebra:
     def _label_index(self) -> dict[str, int]:
         """Character label to index, built on the first lookup by label."""
         return {self.character_label(i): i for i in range(self.dim)}
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return self.describe()

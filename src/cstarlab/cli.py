@@ -351,7 +351,3 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     return run(RunConfig(**vars(build_parser().parse_args(argv))))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,6 +28,9 @@ class FiniteSpace:
             raise InvalidSpace("a finite space needs at least one point")
         if any(not isinstance(p, str) for p in pts):
             raise InvalidSpace("point labels must be strings")
+        # --zero-set splits on commas, and describe() joins labels with them
+        if any("," in p for p in pts):
+            raise InvalidSpace(f"point labels must not contain a comma: {pts!r}")
         if len(set(pts)) != len(pts):
             raise InvalidSpace(f"point labels must be distinct: {pts!r}")
 

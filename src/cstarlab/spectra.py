@@ -18,9 +18,9 @@ __all__ = ["SpectrumSet", "dedup_points", "hausdorff_distance"]
 # also the default comparison tolerance of classify_element, run_suite and
 # the CLI's --tol, which merges spectra and compares defects alike
 DEFAULT_MERGE_TOL = 1e-9
-# dedup_points cuts the sorted values into chains from this many values up;
-# on spread points that costs the same as the plain sweep at about 40 values
-_CHAIN_CUTOFF = 48
+# dedup_points checks for spread values from this many up; the check costs as
+# much as the sweep it saves at about 24 spread values, and is waste otherwise
+_SPREAD_CHECK = 48
 
 
 def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[int, ...]]:
@@ -40,43 +40,31 @@ def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[i
     drops ``r`` for good.  The cost is a sort plus one distance per pair of
     value and representative whose real parts lie within ``merge_tol``.
 
-    So at the start of a chain, a maximal run of sorted values whose
-    consecutive real parts lie within ``merge_tol``, the window is empty.
-    From ``_CHAIN_CUTOFF`` values up, a chain of one value is therefore a
-    representative as it stands, and the sweep runs only inside longer ones.
+    So when every consecutive sorted real-part gap exceeds ``merge_tol``,
+    every value is its own representative; from ``_SPREAD_CHECK`` values
+    up, one array pass checks for that before the sweep runs.
     """
     arr = np.asarray(values, dtype=complex).reshape(-1)
     # stable, and -0.0 ties with 0.0, as sorting (Re, Im) tuples would
     order = np.lexsort((arr.imag, arr.real))
     n = arr.size
-    if n < _CHAIN_CUTOFF:
-        reps, assign = [], [0] * n
-        _sweep(arr.tolist(), order.tolist(), merge_tol, reps, assign)
-        return tuple(reps), tuple(assign)
-    ordered = arr[order]
-    owner = np.arange(n)  # the sorted position of each value's representative
-    cut = np.diff(ordered.real) > merge_tol  # False inside a chain
-    if not cut.all():
-        bounds = np.flatnonzero(np.concatenate(([True], cut, [True])))
-        long = np.flatnonzero(np.diff(bounds) > 1)
-        chains = list(map(range, bounds[long].tolist(), bounds[long + 1].tolist()))
-        vals, reps, number = ordered.tolist(), [], [0] * n
-        for chain in chains:
-            _sweep(vals, chain, merge_tol, reps, number)
-        members = np.concatenate(chains)
-        numbers = np.array(number)[members]
-        # representatives are numbered in sweep order, each at its first value
-        owner[members] = members[np.unique(numbers, return_index=True)[1]][numbers]
-    is_rep = owner == np.arange(n)
-    assign = np.empty(n, dtype=np.intp)
-    assign[order] = (np.cumsum(is_rep) - 1)[owner]
-    return tuple(ordered[is_rep].tolist()), tuple(assign.tolist())
+    if n >= _SPREAD_CHECK:
+        ordered = arr[order]
+        # an inf gap (finite parts) is truly > merge_tol; a NaN gap goes to the sweep
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = (np.diff(ordered.real) > merge_tol).all()
+        if spread:
+            assign = np.empty(n, dtype=np.intp)
+            assign[order] = np.arange(n)
+            return tuple(ordered.tolist()), tuple(assign.tolist())
+    reps, assign = _sweep(arr.tolist(), order.tolist(), merge_tol)
+    return tuple(reps), tuple(assign)
 
 
-def _sweep(vals, order, merge_tol, reps, assign) -> None:
-    """The greedy sweep over ``vals[i]``, i in ``order``: sets ``assign[i]`` to
-    an index in ``reps``, which it extends; its window starts empty."""
-    first = len(reps)
+def _sweep(vals, order, merge_tol) -> tuple[list[complex], list[int]]:
+    """The greedy sweep over ``vals[i]``, i in ``order``: the representatives
+    and, for each i, the index of the one ``vals[i]`` merged into."""
+    reps, assign, first = [], [0] * len(vals), 0
     for i in order:
         v = vals[i]
         while first < len(reps) and v.real - reps[first].real > merge_tol:
@@ -93,6 +81,7 @@ def _sweep(vals, order, merge_tol, reps, assign) -> None:
             reps.append(v)
             best = len(reps) - 1
         assign[i] = best
+    return reps, assign
 
 
 @dataclass(frozen=True)

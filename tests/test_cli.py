@@ -442,6 +442,15 @@ def test_a_label_with_a_line_break_stays_on_one_stderr_line(capsys):
     )
 
 
+def test_a_label_with_a_comma_is_an_invalid_document(capsys):
+    # --zero-set could not name it, and C({p,q}) would read as two points
+    doc = json.dumps({"kind": "function_algebra", "points": ["p,q"], "values": [[0, 0]]})
+    assert run_cli(command="spectrum", inline=doc) == (2, "")
+    assert capsys.readouterr().err == (
+        "invalid input: point labels must not contain a comma: ('p,q',)\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # fuzz: whatever the document and flags, a clean exit
 
@@ -484,8 +493,8 @@ def matrix_documents(draw):
 
 @st.composite
 def function_documents(draw):
-    points = draw(st.lists(st.sampled_from(["p", "q", "r", "0", "1"]) | st.text(max_size=2),
-                           min_size=1, max_size=5, unique=True))
+    labels = st.sampled_from(["p", "q", "r", "0", "1", "p,q", ","]) | st.text(max_size=2)
+    points = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
     return {"kind": "function_algebra", "points": points,
             "values": [draw(PAIRS) for _ in points]}
 

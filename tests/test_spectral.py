@@ -45,7 +45,7 @@ from cstarlab import (
 from cstarlab import spectra
 from cstarlab.algebra import CommutativeAlgebra
 from cstarlab.sampling import random_unitary
-from cstarlab.spectra import _CHAIN_CUTOFF, DEFAULT_MERGE_TOL
+from cstarlab.spectra import _SPREAD_CHECK, DEFAULT_MERGE_TOL
 from cstarlab.spectral import _geometric_sum
 
 
@@ -183,14 +183,14 @@ def test_dedup_matches_greedy_oracle_on_signed_zeros_and_repeats(case):
     assert_matches_oracle(*case)
 
 
-# From _CHAIN_CUTOFF values up, dedup_points sweeps only inside chains of
-# near real parts; the families below reach that path.
-LARGE = st.integers(_CHAIN_CUTOFF, 2 * _CHAIN_CUTOFF)
+# From _SPREAD_CHECK values up, dedup_points sweeps only values that are not
+# spread; the families below reach that check.
+LARGE = st.integers(_SPREAD_CHECK, 2 * _SPREAD_CHECK)
 
 
 @st.composite
 def imaginary_values(draw):
-    """Purely imaginary values on a grid of quarter tolerances: one chain."""
+    """Purely imaginary values on a grid of quarter tolerances: no gap is spread."""
     tol = draw(st.sampled_from([1e-9, 1e-3, 0.3]))
     n = draw(LARGE)
     reals = st.sampled_from([0.0, -0.0])
@@ -221,50 +221,81 @@ def planted_values(draw):
     return draw(st.permutations(values)), tol
 
 
+@st.composite
+def conjugate_pair_values(draw):
+    """Conjugate pairs, the spectrum of a real normal generator: each pair
+    shares a real part, and a real value pairs with itself at -0.0j."""
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.3]))
+    half = draw(LARGE) // 2
+    unit = st.floats(-1.0, 1.0)
+    imags = st.one_of(unit, st.sampled_from([0.0, tol / 2]))
+    halves = draw(st.lists(st.tuples(unit, imags), min_size=half, max_size=half))
+    values = [complex(re, sign * im) for re, im in halves for sign in (1.0, -1.0)]
+    return draw(st.permutations(values)), tol
+
+
 @settings(max_examples=100)
 @given(imaginary_values())
-def test_dedup_chains_match_greedy_oracle_on_imaginary_values(case):
+def test_dedup_large_matches_greedy_oracle_on_imaginary_values(case):
     assert_matches_oracle(*case)
 
 
 @settings(max_examples=100)
 @given(planted_values())
-def test_dedup_chains_match_greedy_oracle_on_planted_near_duplicates(case):
+def test_dedup_large_matches_greedy_oracle_on_planted_near_duplicates(case):
     assert_matches_oracle(*case)
 
 
 @settings(max_examples=100)
-@given(signed_zero_values(min_size=_CHAIN_CUTOFF, max_size=2 * _CHAIN_CUTOFF))
-def test_dedup_chains_match_greedy_oracle_on_signed_zeros(case):
+@given(conjugate_pair_values())
+def test_dedup_large_matches_greedy_oracle_on_conjugate_pairs(case):
     assert_matches_oracle(*case)
 
 
-@pytest.mark.parametrize("n", [_CHAIN_CUTOFF - 1, _CHAIN_CUTOFF])
+@settings(max_examples=100)
+@given(signed_zero_values(min_size=_SPREAD_CHECK, max_size=2 * _SPREAD_CHECK))
+def test_dedup_large_matches_greedy_oracle_on_signed_zeros(case):
+    assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("n", [_SPREAD_CHECK - 1, _SPREAD_CHECK])
 @settings(max_examples=100)
 @given(data=st.data())
-def test_dedup_matches_greedy_oracle_either_side_of_the_chain_cutoff(n, data):
+def test_dedup_matches_greedy_oracle_either_side_of_the_spread_check(n, data):
     tol = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
     cell = st.integers(-12, 12)
     cells = data.draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
     assert_matches_oracle([complex(a / 4, b / 4) for a, b in cells], tol)
 
 
-def test_dedup_sweeps_only_inside_chains_of_near_real_parts(monkeypatch):
+def test_dedup_sweeps_every_value_unless_they_are_spread(monkeypatch):
     swept = []
     sweep = spectra._sweep
 
-    def recording(vals, order, *rest):
+    def recording(vals, order, merge_tol):
         swept.append(list(order))
-        sweep(vals, order, *rest)
+        return sweep(vals, order, merge_tol)
 
     monkeypatch.setattr(spectra, "_sweep", recording)
-    values = [complex(k, 0.0) for k in range(_CHAIN_CUTOFF)] + [7 + 5e-10j, 7 + 2e-9j]
-    assert_matches_oracle(values, 1e-9)
-    # 7, 7 + 5e-10j and 7 + 2e-9j share a real part; everything else is alone
-    assert swept == [[7, 8, 9]]
-    # below the cutoff one sweep visits every value
-    dedup_points(values[: _CHAIN_CUTOFF - 1], 1e-9)
-    assert swept[1:] == [list(range(_CHAIN_CUTOFF - 1))]
+    tol = 1e-9
+    values = [complex(k, 0.0) for k in range(_SPREAD_CHECK)]
+    assert_matches_oracle(values, tol)
+    assert swept == []
+    # a copy of 7 at tol/2 ends the spread: one sweep, in (Re, Im) order
+    assert_matches_oracle(values + [7 + tol / 2], tol)
+    assert swept == [[*range(8), _SPREAD_CHECK, *range(8, _SPREAD_CHECK)]]
+    # below the check one sweep visits every value, spread or not
+    assert_matches_oracle(values[:-1], tol)
+    assert swept[1:] == [list(range(_SPREAD_CHECK - 1))]
+
+
+@pytest.mark.parametrize("n", [_SPREAD_CHECK - 1, _SPREAD_CHECK])
+def test_spectrum_of_real_parts_spanning_beyond_the_float_range_does_not_warn(n):
+    values = [-1.7e308] + [1.7e308 - k * 1e300 for k in range(n - 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = spectrum(algebra_of(n).element(values)).points
+    assert points == greedy_dedup_oracle(values, DEFAULT_MERGE_TOL)[0]
 
 
 def test_dedup_tie_goes_to_the_later_representative():

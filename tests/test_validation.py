@@ -67,6 +67,9 @@ ROWS = {
     "space-label-type": (
         lambda: FiniteSpace(("a", 1)), InvalidSpace, "point labels must be strings"
     ),
+    "space-label-comma": (
+        lambda: FunctionAlgebra(["p,q"]), InvalidSpace, "point labels must not contain a comma"
+    ),
     "space-unknown-label": (
         lambda: FiniteSpace(("a",)).index("z"), InvalidSpace, "label 'z' is not a point"
     ),

@@ -25,12 +25,14 @@ coordinate bytes followed by the repr of the report, where there is one.
 ``verify`` also deduplicates at most 12 values and never takes a norm of a
 matrix above 12 x 12, so the last library streams take, for the same seeds:
 ``spectrum`` points and ``dedup_points`` assignments at dimensions {64, 512,
-2048} on the series element ``a``, on a purely imaginary element and on one
-on a 1e-9 grid (45 streams); the distinct spectrum and multiplicity map of
-a 256 x 256 normal generator with 24 distinct eigenvalues, each used at
-least once (5); at dimension 512 the labels of a quotient's zero set, the
-coordinates of the projection of ``a`` and its quotient norm (5); and
-``operator_norm`` of a materialized element at n {16, 64} (10).
+2048} on the series element ``a``, on a purely imaginary element, on one on
+a 1e-9 grid, on conjugate pairs (the spectrum of a real normal generator)
+and on spread values with dimension/50 exact copies (75 streams); the
+distinct spectrum and multiplicity map of a 256 x 256 normal generator with
+24 distinct eigenvalues, each used at least once (5); at dimension 512 the
+labels of a quotient's zero set, the coordinates of the projection of ``a``
+and its quotient norm (5); and ``operator_norm`` of a materialized element
+at n {16, 64} (10).
 
 ``verify`` folds each Gelfand-duality report into one record that shows
 only its largest defect, so the last streams are whole reports, each
@@ -191,6 +193,18 @@ def _normal_generator(rng, distinct, n):
     return (U * eigenvalues) @ U.conj().T
 
 
+def _conjugate_pairs(rng, dim):
+    half = rng.uniform(-1, 1, dim // 2) + 1j * rng.uniform(-1, 1, dim // 2)
+    return np.concatenate([half, half.conj()])
+
+
+def _planted(rng, dim):
+    """Spread values whose first dim // 50 are exact copies of later ones."""
+    values = rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)
+    values[: dim // 50] = values[rng.integers(dim // 50, dim, dim // 50)]
+    return values
+
+
 def _spectrum_streams():
     """(name, bytes) for spectra, quotients and operator norms, in a fixed order."""
     for seed in SEEDS:
@@ -202,6 +216,8 @@ def _spectrum_streams():
                 ("series", a.coords),
                 ("imaginary", 1j * rng.uniform(-1, 1, dim)),
                 ("grid", 1e-9 * grid),
+                ("pairs", _conjugate_pairs(rng, dim)),
+                ("planted", _planted(rng, dim)),
             ):
                 points = spectrum(a.algebra.element(coords)).points
                 _, assign = dedup_points(coords, DEFAULT_MERGE_TOL)
