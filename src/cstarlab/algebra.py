@@ -18,11 +18,12 @@ the length, copies and checks finiteness.  Every array the package builds
 itself has the right length by construction, so ``_fresh`` wraps it and
 only checks finiteness (an overflow or a NaN still raises
 :class:`NonFinite`).  Every element's array is read-only, which lets the
-Gelfand transform share it instead of copying it.  Three kinds of array are
+Gelfand transform share it instead of copying it.  Five kinds of array are
 finite by construction and skip ``_fresh``: the indicators, the duality
 verifier's blocks of stars and of each member's products of its family
-(every family value has modulus at most 1), and the coordinates that the
-Gelfand transform shares with its element.
+(every family value has modulus at most 1), the probe of ``duality.mu``
+(the values 1, ..., n), and the coordinates that the Gelfand transform and
+its inverse share with their argument.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ DEFAULT_EIGENVALUE_MERGE_TOL = 1e-8
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _same_algebra(x, y, message: str, error: type[Exception] = AlgebraMismatch) -> None:
+    """Raise ``error(message)`` unless x and y are one algebra, as element arithmetic tests it."""
+    if x is not y and x != y:
+        raise error(message)
 
 
 def _character_index(i, dim: int, error: type[Exception]) -> int:
@@ -260,12 +267,15 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         return self._fresh(np.asarray(self.distinct_spectrum.points, dtype=complex))
 
     def materialize(self, a: "AlgebraElement") -> np.ndarray:
-        """Dense n-by-n form U diag(f(lambda)) U* of an element."""
-        if a.algebra != self:
-            raise AlgebraMismatch("element belongs to a different algebra")
+        """Dense n-by-n form U diag(f(lambda)) U* of an element; NonFinite if it overflows."""
+        _same_algebra(a.algebra, self, "element belongs to a different algebra")
         diag = a.coords[np.asarray(self.multiplicity_map, dtype=int)]
         U = self.eigenvectors
-        return (U * diag) @ U.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = (U * diag) @ U.conj().T
+        if not np.isfinite(dense).all():
+            raise NonFinite("the dense form of the element overflows a float")
+        return dense
 
     def project_matrix(self, matrix) -> tuple["AlgebraElement", float]:
         """Nearest element of the algebra to a raw matrix.
@@ -431,14 +441,12 @@ class StarHomomorphism:
         return cls(algebra, algebra, tuple(range(algebra.dim)))
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        if a.algebra != self.source:
-            raise AlgebraMismatch("element does not belong to the source algebra")
+        _same_algebra(a.algebra, self.source, "element does not belong to the source algebra")
         return self.target._fresh(a.coords[list(self.character_images)])
 
     def then(self, other: "StarHomomorphism") -> "StarHomomorphism":
         """Composite ``other . self`` (apply self first)."""
-        if other.source != self.target:
-            raise AlgebraMismatch("composition needs matching middle algebra")
+        _same_algebra(other.source, self.target, "composition needs matching middle algebra")
         images = tuple(
             self.character_images[j] for j in other.character_images
         )

@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 # gelfand, ideals and verify serve one command each and are imported in it,
 # so that a cold start loads only the modules its command runs
 from .errors import CstarError, NonFinite
@@ -31,6 +29,9 @@ from .spectral import apply_polynomial, classify_element, spectrum
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
 FORMATS = ("text", "structured")
+# verify draws more and larger matrices as --max-size grows, and its work grows
+# faster than the size cubed; far above this bound one dense matrix needs gigabytes
+MAX_VERIFY_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -95,32 +96,29 @@ def run(config: RunConfig, out=None) -> int:
         return _fail("--seed must be non-negative")
     if config.max_size < 1:
         return _fail("--max-size must be at least 1")
+    if config.max_size > MAX_VERIFY_SIZE:
+        return _fail(f"--max-size must be at most {MAX_VERIFY_SIZE}")
     if config.input_path is not None and config.inline is not None:
         return _fail("give one of --input and --inline, not both")
 
     if config.command == "verify":
         return _cmd_verify(config, out)
 
-    # an overflow while building the algebra or an element raises a
-    # CstarError (NonFinite, NotNormal, DecompositionFailure), and
-    # _cmd_quotient checks the quotient norm it computes outside them, so
-    # numpy's floating-point warnings would only repeat that message.  A data
-    # command builds only acyclic containers, all freed by reference counting, so
+    # a data command builds only acyclic containers, all freed by reference counting, so
     # the collector is paused; gc state is process-wide: run undoes only its change
     paused = gc.isenabled()
     gc.disable()
-    with np.errstate(all="ignore"):
+    try:
         try:
-            try:
-                element = _load_input(config)
-            except (OSError, UnicodeDecodeError) as exc:
-                return _fail(f"cannot read input: {exc}")
-            return _DATA_COMMANDS[config.command](config, element, out)
-        except CstarError as exc:
-            return _fail(f"invalid input: {exc}")
-        finally:
-            if paused:
-                gc.enable()
+            element = _load_input(config)
+        except (OSError, UnicodeDecodeError) as exc:
+            return _fail(f"cannot read input: {exc}")
+        return _DATA_COMMANDS[config.command](config, element, out)
+    except CstarError as exc:
+        return _fail(f"invalid input: {exc}")
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _spectrum_record(points, tol: float) -> dict:

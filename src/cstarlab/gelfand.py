@@ -23,8 +23,9 @@ from .algebra import (
     CommutativeAlgebra,
     FunctionAlgebra,
     _character_index,
+    _same_algebra,
 )
-from .errors import AlgebraMismatch, SpaceMismatch
+from .errors import SpaceMismatch
 from .spaces import FiniteSpace
 
 __all__ = [
@@ -80,8 +81,7 @@ def characters(algebra: CommutativeAlgebra) -> CharacterSpace:
 
 def evaluate_character(phi: Character, a: AlgebraElement) -> complex:
     """Apply a character to an element of its own algebra."""
-    if a.algebra != phi.algebra:
-        raise AlgebraMismatch("character and element belong to different algebras")
+    _same_algebra(a.algebra, phi.algebra, "character and element belong to different algebras")
     return complex(a.coords[phi.index])
 
 
@@ -111,9 +111,6 @@ def gelfand_inverse(algebra: CommutativeAlgebra, f_hat: AlgebraElement) -> Algeb
     ``f_hat`` must live on the character space of ``algebra``; anything else
     raises :class:`SpaceMismatch`.
     """
-    target = transform_target(algebra)
-    if f_hat.algebra != target:
-        raise SpaceMismatch(
-            "function does not live on the character space of the algebra"
-        )
+    message = "function does not live on the character space of the algebra"
+    _same_algebra(f_hat.algebra, transform_target(algebra), message, SpaceMismatch)
     return AlgebraElement(algebra, f_hat.coords)

@@ -26,8 +26,9 @@ from .algebra import (
     CommutativeAlgebra,
     FunctionAlgebra,
     StarHomomorphism,
+    _same_algebra,
 )
-from .errors import AlgebraMismatch, ImproperIdeal, NotContained
+from .errors import ImproperIdeal, NotContained
 from .spaces import FiniteSpace
 from .spectral import invertibility_tolerance
 
@@ -79,8 +80,7 @@ class Ideal:
         return self.mask != 0
 
     def contains(self, a: AlgebraElement) -> bool:
-        if a.algebra != self.algebra:
-            raise AlgebraMismatch("element belongs to a different algebra")
+        _same_algebra(a.algebra, self.algebra, "element belongs to a different algebra")
         if not self.mask:
             return True
         worst = float(np.abs(a.coords[_indices(self.mask)]).max())
@@ -88,17 +88,13 @@ class Ideal:
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Vanish on both zero sets: the zero sets unite."""
-        self._check_same(other)
+        _same_algebra(self.algebra, other.algebra, "ideals live in different algebras")
         return _lattice_result(self.algebra, self.mask | other.mask)
 
     def sum_with(self, other: "Ideal") -> "Ideal":
         """Sums vanish only where both summands must: zero sets intersect."""
-        self._check_same(other)
+        _same_algebra(self.algebra, other.algebra, "ideals live in different algebras")
         return _lattice_result(self.algebra, self.mask & other.mask)
-
-    def _check_same(self, other: "Ideal") -> None:
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise AlgebraMismatch("ideals live in different algebras")
 
     def __repr__(self) -> str:
         pts = ",".join(closed_set_from_ideal(self))
@@ -145,8 +141,7 @@ class QuotientAlgebra(FunctionAlgebra):
 
     def quotient_norm(self, a: AlgebraElement) -> float:
         """Norm of the coset of ``a``: the sup over the zero set."""
-        if a.algebra != self.base:
-            raise AlgebraMismatch("element belongs to a different algebra")
+        _same_algebra(a.algebra, self.base, "element belongs to a different algebra")
         return float(np.abs(a.coords[self.ideal._zero_indices]).max())
 
 
@@ -169,8 +164,7 @@ def quotient(
     algebra: CommutativeAlgebra, ideal: Ideal
 ) -> tuple[QuotientAlgebra, StarHomomorphism]:
     """The quotient algebra and its projection, acting by restriction."""
-    if ideal.algebra != algebra:
-        raise AlgebraMismatch("ideal lives in a different algebra")
+    _same_algebra(ideal.algebra, algebra, "ideal lives in a different algebra")
     if not ideal.is_proper:
         raise ImproperIdeal("cannot quotient by the whole algebra")
     indices = ideal._zero_indices
@@ -188,8 +182,7 @@ def factor_through_quotient(
     element of the ideal with a nonzero image is attached to the
     :class:`NotContained` error as a witness.
     """
-    if ideal.algebra != phi.source:
-        raise AlgebraMismatch("ideal lives in a different algebra")
+    _same_algebra(ideal.algebra, phi.source, "ideal lives in a different algebra")
     for j, img in enumerate(phi.character_images):
         if not ideal.mask >> img & 1:
             raise NotContained(

@@ -156,5 +156,5 @@ def dump_element(a: AlgebraElement) -> dict:
 
 
 def document_to_json(doc: dict) -> str:
-    """Canonical single-line JSON for golden-file comparisons."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Canonical single-line JSON for golden-file comparisons; inf or NaN raises ValueError."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -581,6 +581,19 @@ def test_project_matrix_round_trips():
     assert (recovered - a).norm() <= 1e-12
 
 
+def test_materialize_raises_on_an_overflowing_dense_form():
+    # c N for a Hermitian N with spectrum {-1, 1}: the coordinates are finite,
+    # but the dense form has the entry -1.7e308 sqrt(2)
+    s = 0.5**0.5
+    algebra = make_normal_generator_algebra([[0, s - s * 1j], [s + s * 1j, 0]])
+    a = algebra.generator_element() * (-1.7e308 - 1.7e308j)
+    assert np.isfinite(a.coords).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="dense form of the element overflows a float"):
+            algebra.materialize(a)
+
+
 def test_project_matrix_averages_each_cluster():
     algebra = make_normal_generator_algebra(np.diag([1.0, 2.0, 2.0, 2.0]))
     element, residual = algebra.project_matrix(np.diag([5.0, 1.0, 2.0 + 3j, 3.0]))

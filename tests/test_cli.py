@@ -177,6 +177,21 @@ HUGE_HERMITIAN = json.dumps(
     }
 )
 
+# N = [[0, conj(w)], [w, 0]] with w = (1 + i)/sqrt(2), Hermitian with spectrum
+# {-1, 1}: p(N) for p(z) = c z with c = -1.7e308(1 + i) has finite coordinates,
+# but an entry of its dense form is -2.4e308
+ROTATION = json.dumps(
+    {
+        "kind": "normal_matrix",
+        "n": 2,
+        "entries": [
+            [0, 0], [0.7071067811865476, -0.7071067811865476],
+            [0.7071067811865476, 0.7071067811865476], [0, 0],
+        ],
+    }
+)
+OVERFLOWING_DENSE_FORM = ("0", "-1.7e308-1.7e308j")
+
 HUGE_DIAGONAL = json.dumps(
     {
         "kind": "normal_matrix",
@@ -197,6 +212,8 @@ HUGE_DIAGONAL = json.dumps(
         ["quotient", "--inline", HUGE_MODULUS, "--zero-set", "p", "--format", "structured"],
         ["spectrum", "--inline", HUGE_SHEAR],
         ["spectrum", "--inline", HUGE_HERMITIAN],
+        ["calculus", "--inline", ROTATION, "--coeffs", ",".join(OVERFLOWING_DENSE_FORM),
+         "--format", "structured"],
     ],
     ids=[
         "huge-int-document",
@@ -207,6 +224,7 @@ HUGE_DIAGONAL = json.dumps(
         "overflow-quotient-norm-structured",
         "huge-non-normal-matrix",
         "huge-hermitian-matrix",
+        "overflow-dense-form-structured",
     ],
 )
 def test_overflow_and_nan_exit_2_with_one_line(argv):
@@ -226,6 +244,32 @@ def test_overflowing_quotient_norm_is_named(capsys):
     code, out = run_cli(command="quotient", inline=HUGE_MODULUS, zero_set=("p",))
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "invalid input: quotient norm is not finite\n"
+
+
+def test_calculus_with_an_overflowing_dense_form_exits_2_only_when_it_dumps_it(capsys):
+    coeffs = tuple(complex(c) for c in OVERFLOWING_DENSE_FORM)
+    config = {"command": "calculus", "inline": ROTATION, "coefficients": coeffs}
+    # structured output dumps p(N) as a dense matrix, which is not finite
+    assert run_cli(**config, output_format="structured") == (2, "")
+    assert capsys.readouterr().err == (
+        "invalid input: the dense form of the element overflows a float\n"
+    )
+    # text output prints only the coordinates, which are finite
+    code, text = run_cli(**config)
+    assert code == 0
+    assert text.startswith("p(a) coordinates: 1.7e+308+1.7e+308j, -1.7e+308-1.7e+308j\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_max_size_above_its_bound_exits_2_before_drawing(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(verify, "run_suite", lambda **kw: calls.append(kw) or [])
+    assert run_cli(command="verify", max_size=cli.MAX_VERIFY_SIZE + 1) == (2, "")
+    assert capsys.readouterr().err == f"--max-size must be at most {cli.MAX_VERIFY_SIZE}\n"
+    assert calls == []
+    # the bound itself is accepted and reaches the suite
+    assert run_cli(command="verify", max_size=cli.MAX_VERIFY_SIZE)[0] == 0
+    assert [kw["max_size"] for kw in calls] == [cli.MAX_VERIFY_SIZE]
 
 
 def scaled_generator_document(c: float) -> str:
@@ -531,7 +575,7 @@ CONFIGS = st.builds(
     inline=DOCUMENTS,
     tol=st.one_of(st.just(cli.RunConfig.tol), FLOATS.map(abs), st.floats()),
     seed=st.integers(0, 3),
-    max_size=st.integers(1, 3),
+    max_size=st.integers(1, 3) | st.just(cli.MAX_VERIFY_SIZE + 1),
     output_format=st.sampled_from([*cli.FORMATS] * 3 + ["xml"]),
     coefficients=st.none() | st.lists(COMPLEX, min_size=1, max_size=4).map(tuple),
     zero_set=st.none() | st.lists(

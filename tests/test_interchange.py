@@ -171,6 +171,13 @@ def test_json_encoding_is_canonical():
     assert document_to_json({"b": 1, "a": [2]}) == '{"a":[2],"b":1}'
 
 
+@pytest.mark.parametrize("x", [float("inf"), -float("inf"), float("nan")])
+def test_json_encoding_refuses_non_finite_floats(x):
+    # JSON has no token for them; json.dumps would write Infinity or NaN
+    with pytest.raises(ValueError):
+        document_to_json({"x": x})
+
+
 def test_function_dump_shape():
     f = make_function_algebra(("p",)).element([2.5 + 0.5j])
     assert dump_element(f) == {

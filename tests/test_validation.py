@@ -18,9 +18,11 @@ from cstarlab import (
     InvalidPointMap,
     InvalidSpace,
     InvalidSubset,
+    SpaceMismatch,
     StarHomomorphism,
     apply_function,
     factor_through_quotient,
+    gelfand_inverse,
     hausdorff_distance,
     ideal_from_closed_set,
     inversion_delta,
@@ -29,7 +31,9 @@ from cstarlab import (
     quotient,
     restriction_homomorphism,
     spectral_radius_limit,
+    transform_target,
     verify_equivalence,
+    zero_ideal,
 )
 
 A = FunctionAlgebra(FiniteSpace(("a", "b", "c")))
@@ -174,6 +178,60 @@ ROWS = {
 def test_bad_call_raises(call, exception, message):
     with pytest.raises(exception, match=message):
         call()
+
+
+# every check that two operands share one algebra, outside element arithmetic:
+# a call on an element, ideal or map of the algebra X, the site's own algebra,
+# another algebra, and the error and message the other one raises
+A_IDEAL = ideal_from_closed_set(A, ("a",))
+MEMBERSHIP_SITES = {
+    "materialize": (lambda X: N.materialize(X.unit()), N, B, AlgebraMismatch,
+                    "element belongs to a different algebra"),
+    "hom-call": (lambda X: PHI(X.unit()), A, B, AlgebraMismatch,
+                 "element does not belong to the source algebra"),
+    "hom-then": (lambda X: PHI.then(StarHomomorphism.identity(X)), B, A, AlgebraMismatch,
+                 "composition needs matching middle algebra"),
+    "evaluate-character": (lambda X: Character(A, 0)(X.unit()), A, B, AlgebraMismatch,
+                           "character and element belong to different algebras"),
+    "gelfand-inverse": (lambda X: gelfand_inverse(A, X.unit()), transform_target(A), B,
+                        SpaceMismatch, "function does not live on the character space"),
+    "ideal-contains": (lambda X: A_IDEAL.contains(X.unit()), A, B, AlgebraMismatch,
+                       "element belongs to a different algebra"),
+    "ideal-intersect": (lambda X: A_IDEAL.intersect(zero_ideal(X)), A, B, AlgebraMismatch,
+                        "ideals live in different algebras"),
+    "ideal-sum": (lambda X: A_IDEAL.sum_with(zero_ideal(X)), A, B, AlgebraMismatch,
+                  "ideals live in different algebras"),
+    "quotient-norm": (lambda X: quotient(A, A_IDEAL)[0].quotient_norm(X.unit()), A, B,
+                      AlgebraMismatch, "element belongs to a different algebra"),
+    "quotient": (lambda X: quotient(X, A_IDEAL), A, B, AlgebraMismatch,
+                 "ideal lives in a different algebra"),
+    # the zero ideal vanishes everywhere, so it lies in every kernel
+    "factor-through-quotient": (lambda X: factor_through_quotient(PHI, zero_ideal(X)), A, B,
+                                AlgebraMismatch, "ideal lives in a different algebra"),
+}
+
+
+def _twin(algebra):
+    """An algebra equal to ``algebra`` that is another object."""
+    if isinstance(algebra, FunctionAlgebra):
+        return FunctionAlgebra(FiniteSpace(algebra.space.points))
+    return make_normal_generator_algebra(algebra.generator.copy())
+
+
+@pytest.mark.parametrize("site", MEMBERSHIP_SITES)
+def test_membership_accepts_an_equal_algebra_that_is_another_object(site):
+    call, own, _, _, _ = MEMBERSHIP_SITES[site]
+    twin = _twin(own)
+    assert twin == own and twin is not own
+    call(twin)
+
+
+@pytest.mark.parametrize("site", MEMBERSHIP_SITES)
+def test_membership_refuses_a_different_algebra(site):
+    call, own, other, exception, message = MEMBERSHIP_SITES[site]
+    assert other != own
+    with pytest.raises(exception, match=message):
+        call(other)
 
 
 def test_calls_at_the_edge_of_validation_succeed():
