@@ -13,17 +13,18 @@ analytic content of the matrix model sits in the eigendecomposition done
 once at construction time.
 
 Coordinates are validated once, where they enter.  ``element`` is the entry
-for outside input, and only ``interchange`` calls it: it converts, checks
-the length, copies and checks finiteness.  Every array the package builds
-itself has the right length by construction, so ``_fresh`` wraps it and
-only checks finiteness (an overflow or a NaN still raises
-:class:`NonFinite`).  Every element's array is read-only, which lets the
-Gelfand transform share it instead of copying it.  Five kinds of array are
-finite by construction and skip ``_fresh``: the indicators, the duality
-verifier's blocks of stars and of each member's products of its family
-(every family value has modulus at most 1), the probe of ``duality.mu``
-(the values 1, ..., n), and the coordinates that the Gelfand transform and
-its inverse share with their argument.
+for coordinates from outside the package, and no package module calls it:
+it converts, checks the length, copies and checks finiteness.  Every array
+the package builds itself has the right length by construction, so
+``_fresh`` wraps it and only checks finiteness (an overflow or a NaN still
+raises :class:`NonFinite`); ``interchange`` checks a document's values
+itself and hands the new array to ``_fresh`` too.  Every element's array is
+read-only, which lets the Gelfand transform share it instead of copying
+it.  Five kinds of array are finite by construction and skip ``_fresh``:
+the indicators, the duality verifier's blocks of stars and of each member's
+products of its family (every family value has modulus at most 1), the
+probe of ``duality.mu`` (the values 1, ..., n), and the coordinates that
+the Gelfand transform and its inverse share with their argument.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 # gelfand, ideals and verify serve one command each and are imported in it,
 # so that a cold start loads only the modules its command runs
 from .errors import CstarError, NonFinite
-from .interchange import complex_pairs, document_to_json, dump_element
+from .interchange import complex_pairs, document_to_json, write_element
 from .interchange import load_document, load_path
 from .spectra import DEFAULT_MERGE_TOL
 from .spectral import apply_polynomial, classify_element, spectrum
@@ -75,7 +75,8 @@ def _emit(out, record: dict) -> None:
 
 
 def _load_input(config: RunConfig):
-    """The input's element; the text, which can be megabytes, is not kept."""
+    """The input's element; a file's or stdin's text, which can be megabytes, is
+    a temporary, freed before the algebra is built (``--inline`` text is not)."""
     if config.inline is not None:
         return load_document(config.inline)
     if config.input_path is not None:
@@ -195,7 +196,7 @@ def _cmd_calculus(config: RunConfig, element, out) -> int:
     result = apply_polynomial(config.coefficients, element)
     points = spectrum(result, config.tol).points
     if config.output_format == "structured":
-        _emit(out, dump_element(result))
+        write_element(result, out)
         _emit(out, _spectrum_record(points, config.tol))
     else:
         out.write(f"p(a) coordinates: {_fmt_all(result.coords)}\n")
@@ -224,7 +225,7 @@ def _cmd_quotient(config: RunConfig, element, out) -> int:
                 "norm": norm,
             },
         )
-        _emit(out, dump_element(image))
+        write_element(image, out)
     else:
         out.write(f"quotient dimension: {q.dim}\n")
         out.write(f"zero set: {', '.join(q.space.points)}\n")

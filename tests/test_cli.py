@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from cstarlab import cli, verify
 from cstarlab.errors import NonFinite
-from cstarlab.interchange import complex_pairs, load_document
+from cstarlab.interchange import complex_pairs, load_document, write_element
 from cstarlab.sampling import random_complex
+from cstarlab.spectral import apply_polynomial
 from cstarlab.verify import CheckRecord
 
 DIAG123 = json.dumps(
@@ -259,6 +260,15 @@ def test_calculus_with_an_overflowing_dense_form_exits_2_only_when_it_dumps_it(c
     assert code == 0
     assert text.startswith("p(a) coordinates: 1.7e+308+1.7e+308j, -1.7e+308-1.7e+308j\n")
     assert capsys.readouterr().err == ""
+
+
+def test_writer_raises_on_an_overflowing_dense_form_before_any_byte():
+    coeffs = tuple(complex(c) for c in OVERFLOWING_DENSE_FORM)
+    result = apply_polynomial(coeffs, load_document(ROTATION))
+    out = io.StringIO()
+    with pytest.raises(NonFinite, match="dense form"):
+        write_element(result, out)
+    assert out.getvalue() == ""
 
 
 def test_max_size_above_its_bound_exits_2_before_drawing(monkeypatch, capsys):

@@ -1,6 +1,9 @@
 """JSON interchange documents."""
 
+import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +20,18 @@ from cstarlab import (
     load_document,
     load_path,
     make_function_algebra,
+    make_normal_generator_algebra,
     spectrum,
+    write_element,
 )
+from cstarlab import interchange
 from cstarlab.interchange import (
     _as_complex,
     _complex_array,
     complex_pairs,
     document_to_json,
 )
+from cstarlab.sampling import random_unitary
 from cstarlab.spectra import DEFAULT_MERGE_TOL
 
 
@@ -205,3 +212,110 @@ def test_dump_element_rejects_an_unknown_algebra_model():
 
     with pytest.raises(TypeError, match=r"cannot serialize elements of Unknown\(\)"):
         dump_element(Unknown().unit())
+
+
+def test_function_document_values_are_checked_once(monkeypatch):
+    # the decoded array is wrapped as it is, not converted and copied again
+    def element(self, coords):
+        raise AssertionError("element() converts coordinates a second time")
+
+    monkeypatch.setattr(CommutativeAlgebra, "element", element)
+    f = load_document(FUNCTION_DOC)
+    assert f.coords.tobytes() == np.array([1.5, complex(0, -2), 3.0]).tobytes()
+    assert not f.coords.flags.writeable
+
+
+# values JSON spells in every way: -0.0, subnormals, the float range's ends
+SPECIAL = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1]
+# labels JSON must escape, and one spelled as the values' own key
+LABELS = ['q"uote', "back\\slash", "caf\u00e9", "\u2603", "tab\tnew\nline", '"values":[]']
+
+
+def _normal_element(rng, n):
+    U = random_unitary(rng, n)
+    eigenvalues = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    algebra = make_normal_generator_algebra((U * eigenvalues) @ U.conj().T)
+    return algebra.element(rng.uniform(-1, 1, algebra.dim) + 1j * rng.uniform(-1, 1, algebra.dim))
+
+
+def _elements():
+    rng = np.random.default_rng(39)
+    specials = [complex(x, y) for x, y in zip(SPECIAL, SPECIAL[::-1])]
+    for n in (1, 2, 17):
+        labels = [*LABELS, *map(str, range(n))][:n]
+        f = make_function_algebra(tuple(labels)).element((specials * 3)[:n])
+        yield pytest.param(f, id=f"function-{n}")
+        yield pytest.param(_normal_element(rng, n), id=f"matrix-{n}")
+    # U = I for a diagonal generator, so the dense form holds the values exactly,
+    # but for -0.0, which the product U diag U* turns into 0.0
+    one = make_normal_generator_algebra(np.array([[1.0]])).element([-0.0 + 5e-324j])
+    yield pytest.param(one, id="diagonal-1")
+    two = make_normal_generator_algebra(np.diag([1.0, 2.0])).element(
+        [-1e308 + 1e308j, -0.0 - 1.1125369292536007e-308j]
+    )
+    yield pytest.param(two, id="diagonal-2")
+
+
+@pytest.mark.parametrize("a", list(_elements()))
+# a block of one character writes each row on its own
+@pytest.mark.parametrize("block", [1, interchange._WRITE_BLOCK])
+def test_write_element_writes_the_dumped_line(a, block, monkeypatch):
+    monkeypatch.setattr(interchange, "_WRITE_BLOCK", block)
+    out = io.StringIO()
+    write_element(a, out)
+    assert out.getvalue() == document_to_json(dump_element(a)) + "\n"
+
+
+class _Digest:
+    """An output that keeps only a hash of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
+def test_write_element_never_holds_the_pairs_or_the_line(monkeypatch):
+    # at n = 128 the pairs take about 2 MB and the line about 0.75 MB, against
+    # 0.25 MB for the dense form; materialize briefly needs three n x n arrays.
+    # Blocks of 16 kB, about three rows, stand in for a line many blocks long.
+    monkeypatch.setattr(interchange, "_WRITE_BLOCK", 1 << 14)
+    a = _normal_element(np.random.default_rng(7), 128)
+    dense_nbytes = 128 * 128 * 16
+    out = _Digest()
+    tracemalloc.start()
+    try:
+        write_element(a, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * dense_nbytes
+    line = (document_to_json(dump_element(a)) + "\n").encode()
+    assert out.sha.hexdigest() == hashlib.sha256(line).hexdigest()
+
+
+def test_load_document_frees_the_text_and_the_pairs_before_eigh(monkeypatch):
+    # the text (about 0.75 MB) is made while tracing and passed as a temporary;
+    # at eigh's entry only the matrix and construction's own arrays, each
+    # n x n, may be alive: the decoded pairs alone take about 2 MB
+    n = 128
+    rng = np.random.default_rng(8)
+    U = random_unitary(rng, n)
+    N = (U * (rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n))) @ U.conj().T
+    doc = {"kind": "normal_matrix", "n": n, "entries": complex_pairs(N)}
+    seen = []
+    eigh = np.linalg.eigh
+
+    def traced_eigh(H):
+        seen.append((tracemalloc.get_traced_memory()[0], H.nbytes))
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+    tracemalloc.start()
+    try:
+        load_document(json.dumps(doc))
+    finally:
+        tracemalloc.stop()
+    traced, nbytes = seen[0]
+    assert traced <= 3 * nbytes

@@ -11,6 +11,10 @@ thread, so the output does not depend on the number of CPUs.  Each line is
 for seeds {0, 1, 42, 7, 123} x ``--max-size`` {1, 4, 8, 12} (40 streams),
 and the five data commands in both formats on the two golden documents of
 ``tests/test_cli.py``, with its coefficients and zero sets (20 streams).
+Those documents are 16 x 16 at most, so structured ``calculus`` and
+``quotient`` also run on seeded normal-matrix documents at n {64, 256}, one
+with n distinct eigenvalues and one with 32, each used at least once, with
+every other character as the zero set (8 streams).
 Every stream is produced in process through ``cli.run``.  The digest is
 of stdout alone, so its first 12 characters are the prefix that
 ``tests/test_cli.py`` pins where it pins one; the exit code ends the name.
@@ -63,6 +67,7 @@ import hashlib
 import importlib.util
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -108,6 +113,7 @@ SERIES_DIMS = (32, 64, 512)
 SPECTRUM_DIMS = (64, 512, 2048)
 NORM_DIMS = (16, 64)
 CONSTRUCTION_DIMS = (64, 256, 512)
+DOCUMENT_DIMS = (64, 256)
 REPEATED_DISTINCT = 32
 REPORT_SIZES = range(1, 13)
 REPORT_SEEDS = range(12)
@@ -145,6 +151,24 @@ def _streams():
                     zero_set=golden.GOLDEN_ZERO_SETS[doc],
                 )
                 yield f"{command} {fmt} {doc}", config
+    for n in DOCUMENT_DIMS:
+        for kind, distinct in (("distinct", n), ("repeated", REPEATED_DISTINCT)):
+            rng = np.random.default_rng([SEEDS[0], n, distinct, 7])
+            entries = _normal_generator(rng, distinct, n).reshape(-1).tolist()
+            text = json.dumps(
+                {"kind": "normal_matrix", "n": n, "entries": [[z.real, z.imag] for z in entries]}
+            )
+            # every other character, so the quotient keeps half of the spectrum
+            zero_set = tuple(str(k) for k in range(0, distinct, 2))
+            for command in ("calculus", "quotient"):
+                config = cli.RunConfig(
+                    command=command,
+                    inline=text,
+                    output_format="structured",
+                    coefficients=COEFFICIENTS,
+                    zero_set=zero_set,
+                )
+                yield f"{command} structured normal_matrix {kind} n={n}", config
 
 
 def _series_inputs(seed, dim):
