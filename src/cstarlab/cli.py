@@ -18,13 +18,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-# gelfand, ideals and verify serve one command each and are imported in it,
-# so that a cold start loads only the modules its command runs
+# gelfand, ideals, spectral and verify are imported in the commands that call
+# them (quotient gets spectral through ideals), so that a cold start loads only
+# the modules its command runs
 from .errors import CstarError, NonFinite
 from .interchange import complex_pairs, document_to_json, write_element
 from .interchange import load_document, load_path
-from .spectra import DEFAULT_MERGE_TOL
-from .spectral import apply_polynomial, classify_element, spectrum
+from .spectra import DEFAULT_MERGE_TOL, SpectrumSet
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS"]
 
@@ -127,7 +127,7 @@ def _spectrum_record(points, tol: float) -> dict:
 
 
 def _cmd_spectrum(config: RunConfig, element, out) -> int:
-    points = spectrum(element, config.tol).points
+    points = SpectrumSet.from_values(element.coords, config.tol).points
     if config.output_format == "structured":
         _emit(out, _spectrum_record(points, config.tol))
     else:
@@ -138,6 +138,7 @@ def _cmd_spectrum(config: RunConfig, element, out) -> int:
 
 
 def _cmd_classify(config: RunConfig, element, out) -> int:
+    from .spectral import classify_element
     report = classify_element(element, config.tol)
     defects = report.witness_tolerances
     offender = report.positive_offender
@@ -193,6 +194,7 @@ def _cmd_characters(config: RunConfig, element, out) -> int:
 def _cmd_calculus(config: RunConfig, element, out) -> int:
     if not config.coefficients:
         return _fail("calculus needs --coeffs (ascending, e.g. '1,0,2')")
+    from .spectral import apply_polynomial, spectrum
     result = apply_polynomial(config.coefficients, element)
     points = spectrum(result, config.tol).points
     if config.output_format == "structured":

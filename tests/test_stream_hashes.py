@@ -1,13 +1,19 @@
 """``tools/stream_hashes.py --against DIR`` names each stream whose hash
 differs from the one the tool of the checkout at DIR prints, or that one
-side lacks, and exits 1 if there is any.  The streams here are stand-ins,
-so the test does not run the tool's own streams."""
+side lacks, and exits 1 if there is any; ``--drop NAME ...`` leaves those
+records out of every ``verify`` stream, on both sides.  The streams and
+records here are stand-ins, so the test does not run the tool's own
+streams."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
 import pytest
+
+from cstarlab import cli, verify
+from cstarlab.duality import CheckRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,7 +42,7 @@ def test_against_names_each_stream_that_differs(tool, tmp_path, monkeypatch, cap
     listing = "\n".join(theirs)
     (tmp_path / "tools" / "stream_hashes.py").write_text(f"print({listing!r})\n")
 
-    monkeypatch.setattr(tool, "_lines", lambda: iter(ours))
+    monkeypatch.setattr(tool, "_lines", lambda drop: iter(ours))
     assert tool.main(["--against", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
@@ -46,7 +52,7 @@ def test_against_names_each_stream_that_differs(tool, tmp_path, monkeypatch, cap
     ]
     assert captured.err == "3 of 4 streams differ\n"
 
-    monkeypatch.setattr(tool, "_lines", lambda: iter(theirs))
+    monkeypatch.setattr(tool, "_lines", lambda drop: iter(theirs))
     assert tool.main(["--against", str(tmp_path)]) == 0
     assert capsys.readouterr().out == ""
 
@@ -76,7 +82,7 @@ def test_against_then_names_each_pinned_entry_that_differs(tool, tmp_path, monke
     listing = "\n".join(theirs)
     (tmp_path / "tools" / "stream_hashes.py").write_text(f"print({listing!r})\n")
 
-    monkeypatch.setattr(tool, "_lines", lambda: iter(ours))
+    monkeypatch.setattr(tool, "_lines", lambda drop: iter(ours))
     assert tool.main(["--against", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     # a pin is a prefix of the hash of stdout, so an exit code alone moves none
@@ -90,3 +96,44 @@ def test_against_then_names_each_pinned_entry_that_differs(tool, tmp_path, monke
         "spectrum matrix structured: dddddddddddd -> 000000000000",
     ]
     assert captured.err == "5 of 6 streams differ\n"
+
+
+def test_against_passes_drop_on_to_the_other_tool(tool, tmp_path, monkeypatch, capsys):
+    # each side names its one stream after the options it was given
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "stream_hashes.py").write_text(
+        "import sys; print('a' * 64 + '  ' + ' '.join(sys.argv[1:]))\n"
+    )
+    monkeypatch.setattr(tool, "_lines", lambda drop: iter(["a" * 64 + "  --drop " + " ".join(drop)]))
+    assert tool.main(["--against", str(tmp_path), "--drop", "x", "y"]) == 0
+    assert capsys.readouterr() == ("", "0 of 1 streams differ\n")
+
+
+# the dropped law fails, so its summary line carries a witness and the exit
+# code moves with it
+RECORDS = [
+    CheckRecord("kept", "first", 0.0, True),
+    CheckRecord("dropped", "only", 2e-3, False),
+    CheckRecord("kept", "second", 1e-9, True),
+    CheckRecord("last", "one", 0.5, True),
+]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_drop_removes_exactly_the_lines_of_those_records(tool, fmt, monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", lambda **kwargs: list(RECORDS))
+    config = cli.RunConfig(command="verify", output_format=fmt)
+    full, code = tool._run(config)
+    assert code == 1
+    lines = full.splitlines(keepends=True)
+    if fmt == "structured":
+        expected = [line for line in lines if json.loads(line)["law"] != "dropped"]
+        assert len(lines) - len(expected) == 2
+    else:
+        assert lines[1:3] == [
+            "dropped: FAIL (1 instances, max defect 2.000e-03)\n",
+            "  first failing instance: only\n",
+        ]
+        expected = [lines[0], *lines[3:-1], lines[-1].replace("2/3 laws", "2/2 laws")]
+    assert tool._run(config, ["dropped"]) == ("".join(expected), 0)
+    assert verify.run_suite() == RECORDS

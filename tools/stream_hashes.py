@@ -2,6 +2,7 @@
 
     python3 tools/stream_hashes.py > hashes.txt
     python3 tools/stream_hashes.py --against ../other-checkout
+    python3 tools/stream_hashes.py --against ../other-checkout --drop NAME ...
 
 Runs from any directory and imports the package from the ``src/`` of the
 checkout it sits in, so running it in two checkouts and diffing the two
@@ -58,11 +59,19 @@ has, then each entry of ``tests/test_cli.py`` whose stream differs, as
 ``structured (0, 4)`` for a ``GOLDEN_VERIFY_STREAMS`` key, ``text (0, 4)``
 for a ``GOLDEN_VERIFY_TEXT_STREAMS`` key and ``spectrum matrix structured``
 for a ``GOLDEN_DATA_STREAMS`` key.  It exits 1 if any stream differs.
+
+``--drop NAME ...`` makes each ``verify`` stream the one ``cli.run`` prints
+when the records whose ``CheckRecord.law`` is one of the names are left out
+of ``run_suite``'s list; ``cli`` recomputes the summary and count lines from
+what is left.  With ``--against DIR`` the names go on to DIR's tool, which
+must know the option, so a change that only adds records diffs empty when
+its new names are dropped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -95,6 +104,7 @@ from cstarlab import (  # noqa: E402
     perturbation_inverse,
     quotient,
     spectrum,
+    verify,
     verify_equivalence,
     verify_naturality_tau,
 )
@@ -308,12 +318,34 @@ def _construction_streams():
                 yield f"construction {kind} seed={seed} n={n}", stream
 
 
-def _lines():
+@contextlib.contextmanager
+def _without(names):
+    """``verify.run_suite`` leaves out the records whose law is in ``names``."""
+    run_suite = verify.run_suite
+    if names:
+        verify.run_suite = lambda *args, **kwargs: [
+            rec for rec in run_suite(*args, **kwargs) if rec.law not in names
+        ]
+    try:
+        yield
+    finally:
+        verify.run_suite = run_suite
+
+
+def _run(config, drop=()) -> tuple[str, int]:
+    """What ``cli.run`` prints for ``config``, and its exit code; a ``verify``
+    stream leaves out the records whose law is in ``drop``."""
+    out = io.StringIO()
+    with _without(drop if config.command == "verify" else ()):
+        code = cli.run(config, out)
+    return out.getvalue(), code
+
+
+def _lines(drop):
     """Every ``sha256  name`` line, in a fixed order."""
     for name, config in _streams():
-        out = io.StringIO()
-        code = cli.run(config, out)
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        text, code = _run(config, drop)
+        digest = hashlib.sha256(text.encode()).hexdigest()
         yield f"{digest}  {name} exit={code}"
     streams = itertools.chain(
         _series_streams(), _spectrum_streams(), _report_streams(), _construction_streams()
@@ -350,17 +382,20 @@ def _pins(theirs: dict[str, str], ours: dict[str, str]) -> None:
             print(f"{label}: {old} -> {new}")
 
 
-def _against(other: Path) -> int:
+def _against(other: Path, drop) -> int:
     """Print each stream that differs from the checkout at ``other``, then each
-    pinned entry that does; 1 if any stream differs."""
+    pinned entry that does; 1 if any stream differs.  Both sides drop ``drop``."""
     proc = subprocess.run(
-        [sys.executable, str(other / "tools" / "stream_hashes.py")],
+        [sys.executable, str(other / "tools" / "stream_hashes.py")]
+        + (["--drop", *drop] if drop else []),
         capture_output=True,
         text=True,
-        check=True,
     )
+    if proc.returncode:
+        print(f"the tool of {other} failed:\n{proc.stderr}", end="", file=sys.stderr)
+        return 2
     theirs = _by_name(proc.stdout.splitlines())
-    ours = _by_name(_lines())
+    ours = _by_name(_lines(drop))
     differ = 0
     for name in [*ours, *(name for name in theirs if name not in ours)]:
         if name not in theirs:
@@ -385,10 +420,17 @@ def main(argv=None) -> int:
         metavar="DIR",
         help="compare with the tool of the checkout at DIR, run in a child process",
     )
+    parser.add_argument(
+        "--drop",
+        nargs="+",
+        default=(),
+        metavar="NAME",
+        help="leave the records of these names out of every verify stream",
+    )
     args = parser.parse_args(argv)
     if args.against is not None:
-        return _against(args.against)
-    for line in _lines():
+        return _against(args.against, args.drop)
+    for line in _lines(args.drop):
         print(line)
     return 0
 
