@@ -46,7 +46,8 @@ from .errors import (
     _unscale,
 )
 from .spaces import FiniteSpace
-from .spectra import SpectrumSet, dedup_points
+from .spectra import CLUSTER_GAP_TOL, EIGENVALUE_MERGE_TOL, NORMALITY_TOL, SpectrumSet
+from .spectra import RECONSTRUCTION_TOL, UNITARITY_TOL, dedup_points
 
 __all__ = [
     "CommutativeAlgebra",
@@ -59,10 +60,6 @@ __all__ = [
     "make_star_homomorphism",
     "restriction_homomorphism",
 ]
-
-_NORMALITY_TOL = 1e-10
-# relative to 2^k, the power of two above the generator's largest entry
-DEFAULT_EIGENVALUE_MERGE_TOL = 1e-8
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -189,12 +186,8 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
     anti-Hermitian parts (they commute exactly when the generator is
     normal), deduplicates the eigenvalues, and stores the unitary change of
     basis.  Elements are functions on the distinct spectrum; ``materialize``
-    turns coordinates back into a dense matrix.
-
-    The cluster gap and ``DEFAULT_EIGENVALUE_MERGE_TOL`` are relative to 2^k,
-    the power of two above the largest |Re| or |Im| of an entry, so c N has
-    the dimension of N for every c > 0 and the generator alone fixes the
-    algebra.  ``distinct_spectrum.merge_tol`` is the absolute cutoff applied.
+    turns coordinates back into a dense matrix.  ``distinct_spectrum.merge_tol``
+    is the absolute eigenvalue merge cutoff applied.
     """
 
     def __init__(self, matrix):
@@ -215,7 +208,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         defect_s = 2 * float(np.linalg.norm(X - X.conj().T))
         fro_s = float(np.linalg.norm(Ms))
         del X, Ms  # only H goes into eigh; Ms is rebuilt after it
-        bound_s = _NORMALITY_TOL * fro_s * fro_s
+        bound_s = NORMALITY_TOL * fro_s * fro_s
         if not defect_s <= bound_s:
             raise NotNormal(defect_s, bound_s, 2 * k)
 
@@ -225,15 +218,14 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         gram = U.conj().T @ U
         gram.reshape(-1)[:: n + 1] -= 1.0  # U* U - I, without building I
         unitary_defect = float(np.linalg.norm(gram))
-        if unitary_defect > 1e-12 * n:
+        if unitary_defect > UNITARITY_TOL * n:
             raise DecompositionFailure(
                 f"change of basis is not unitary: defect {unitary_defect:.3e}"
             )
         del gram
         # |conj(U) D - W^T|_F = |D U* - W|_F, which is |U D U* - Ms|_F for a unitary U
         recon_s = float(np.linalg.norm(U.conj() * eigs_s - W.T))
-        # 1e-8 n |M|_F + |[M, M*]|_F / |M|_F, which scales with M
-        recon_bound_s = 1e-8 * n * fro_s + (defect_s / fro_s if fro_s else 0.0)
+        recon_bound_s = RECONSTRUCTION_TOL * n * fro_s + (defect_s / fro_s if fro_s else 0.0)
         if not recon_s <= recon_bound_s:
             raise DecompositionFailure(
                 f"diagonalization does not reproduce the generator: "
@@ -246,7 +238,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         # two exact factors, because 2.0**k overflows at k = 1024
         eigs = eigs_s * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
-        merge_tol = _unscale(DEFAULT_EIGENVALUE_MERGE_TOL, k)[0]
+        merge_tol = _unscale(EIGENVALUE_MERGE_TOL, k)[0]
         reps, assign = dedup_points(eigs, merge_tol)
         self.dimension_n = n
         # adding 0.0 turns -0.0 into 0.0, so equal generators have equal bytes
@@ -329,8 +321,8 @@ def _joint_diagonalize(M: np.ndarray, w: np.ndarray, U: np.ndarray) -> tuple[np.
     equal eigenvalues by diagonalizing the anti-Hermitian part there.  Clusters
     are needed because eigenvectors of nearly degenerate Hermitian eigenvalues
     are individually ill-conditioned even though their span is stable.
-    Hermitian eigenvalues closer than 2e-8 max(1, max |w|) form a cluster; M is
-    the generator scaled so its largest entry is near 1, the generator's scale.
+    Hermitian eigenvalues closer than ``CLUSTER_GAP_TOL`` max(1, max |w|) form
+    a cluster; M is the generator scaled so its largest entry is near 1.
     W is formed once: a cluster's block of the anti-Hermitian part is
     (B - B*)/2i for B = W[s:e] U[:, s:e], each rotation of U's columns rotates
     W's rows with it (n k^2 work for a cluster of k), and the eigenvalues are
@@ -338,7 +330,7 @@ def _joint_diagonalize(M: np.ndarray, w: np.ndarray, U: np.ndarray) -> tuple[np.
     """
     n = M.shape[0]
     W = U.conj().T @ M
-    gap_tol = 2e-8 * max(1.0, float(np.abs(w).max()))
+    gap_tol = CLUSTER_GAP_TOL * max(1.0, float(np.abs(w).max()))
     wl = w.tolist()
     start = 0
     for stop in range(1, n + 1):

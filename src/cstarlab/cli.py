@@ -19,8 +19,7 @@ import sys
 from dataclasses import dataclass
 
 # gelfand, ideals, spectral and verify are imported in the commands that call
-# them (quotient gets spectral through ideals), so that a cold start loads only
-# the modules its command runs
+# them, so that a cold start loads only the modules its command runs
 from .errors import CstarError, NonFinite
 from .interchange import complex_pairs, document_to_json, write_element
 from .interchange import load_document, load_path

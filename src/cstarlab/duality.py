@@ -40,6 +40,7 @@ from .algebra import (
 from .errors import DualityViolation, NonFinite, NotACharacter
 from .gelfand import characters, gelfand_inverse, gelfand_transform, transform_target
 from .spaces import ContinuousMap, FiniteSpace
+from .spectra import PROBE_TOL
 
 __all__ = [
     "CheckRecord",
@@ -54,8 +55,6 @@ __all__ = [
     "verify_naturality_mu",
     "verify_equivalence",
 ]
-
-PROBE_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .errors import ImproperIdeal, NotContained
 from .spaces import FiniteSpace
-from .spectral import invertibility_tolerance
+from .spectra import invertibility_tolerance
 
 __all__ = [
     "Ideal",

@@ -1,4 +1,4 @@
-"""Finite spectra as deduplicated complex point sets.
+"""Finite spectra as deduplicated complex point sets, and the package's cutoffs.
 
 A spectrum is stored with a merge tolerance: values closer than the
 tolerance are considered one point.  Set comparisons go through the
@@ -13,14 +13,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectrumSet", "dedup_points", "hausdorff_distance"]
+__all__ = ["SpectrumSet", "dedup_points", "hausdorff_distance", "invertibility_tolerance"]
 
-# also the default comparison tolerance of classify_element, run_suite and
-# the CLI's --tol, which merges spectra and compares defects alike
+# Every verdict cutoff, once, with the scale it multiplies.  Construction works
+# in units of 2^k, the power of two above the largest |Re| or |Im| of an entry
+# of the generator M (Ms = M 2^-k), so its cutoffs scale with M.
+# absolute: spectrum merge, resolvent's SpectrumHit, and the default tolerance
+# of classify_element, run_suite and --tol, which merge and compare alike
 DEFAULT_MERGE_TOL = 1e-9
+INVERTIBILITY_TOL = 1e-10  # x |a|: a character value at or below it counts as zero
+PROBE_TOL = 1e-10  # absolute: the duality probes and duality.check's default bound
+NORMALITY_TOL = 1e-10  # x |Ms|_F^2: bounds |[Ms, Ms*]|_F
+EIGENVALUE_MERGE_TOL = 1e-8  # x 2^k: eigenvalues this close are one character
+UNITARITY_TOL = 1e-12  # x n: bounds |U* U - I|_F, as U has no units
+RECONSTRUCTION_TOL = 1e-8  # x n |Ms|_F, plus |[Ms, Ms*]|_F / |Ms|_F: bounds |U D U* - Ms|_F
+CLUSTER_GAP_TOL = 2e-8  # x max(1, max |w|), 2^k units: Hermitian eigenvalues this close cluster
+
 # dedup_points checks for spread values from this many up; the check costs as
 # much as the sweep it saves at about 24 spread values, and is waste otherwise
 _SPREAD_CHECK = 48
+
+
+def invertibility_tolerance(a) -> float:
+    """Cutoff, relative to norm(a), at or below which a character value
+    counts as zero; the zero element is therefore not invertible."""
+    norm = a.norm()
+    if norm == math.inf:  # such as |1.7e308+1.7e308j|; take it at half scale
+        return 2 * INVERTIBILITY_TOL * float(np.abs(a.coords * 0.5).max())
+    return INVERTIBILITY_TOL * norm
 
 
 def dedup_points(values, merge_tol: float) -> tuple[tuple[complex, ...], tuple[int, ...]]:

@@ -36,7 +36,7 @@ from .errors import (
     SpectrumHit,
     Unconverged,
 )
-from .spectra import DEFAULT_MERGE_TOL, SpectrumSet
+from .spectra import DEFAULT_MERGE_TOL, SpectrumSet, invertibility_tolerance
 
 __all__ = [
     "NeumannReport",
@@ -55,7 +55,6 @@ __all__ = [
     "apply_function",
     "classify_element",
     "inversion_delta",
-    "invertibility_tolerance",
 ]
 
 
@@ -95,15 +94,6 @@ class ClassificationReport:
     flags: dict[str, bool]
     witness_tolerances: dict[str, float]
     positive_offender: complex | None = None
-
-
-def invertibility_tolerance(a: AlgebraElement) -> float:
-    """Cutoff, relative to norm(a), at or below which a character value
-    counts as zero; the zero element is therefore not invertible."""
-    norm = a.norm()
-    if norm == math.inf:  # such as |1.7e308+1.7e308j|; take it at half scale
-        return 2e-10 * float(np.abs(a.coords * 0.5).max())
-    return 1e-10 * norm
 
 
 # most entries (rows x dim) in one block of partial sums, 128 KiB: it bounds

@@ -77,6 +77,14 @@ def test_membership_cutoff_is_relative_to_the_element():
     assert I.contains(0 * algebra.unit())
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+def test_membership_verdict_does_not_depend_on_scale(c):
+    algebra = make_function_algebra(("a", "b"))
+    I = ideal_from_closed_set(algebra, ("b",))
+    assert I.contains(algebra.element([c, 1e-11 * c]))
+    assert not I.contains(algebra.element([c, 1e-9 * c]))
+
+
 def test_membership_of_a_value_too_large_for_its_modulus():
     # 1.7e308+1.7e308j is finite but its modulus overflows a float
     algebra = make_function_algebra(("a", "b"))

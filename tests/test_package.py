@@ -86,8 +86,10 @@ ON_DEMAND = ("verify", "duality", "ideals", "gelfand", "sampling", "spectral")
         (["-m", "cstarlab", "spectrum", *ARGV], ()),
         (["-m", "cstarlab", "characters", *ARGV], ("gelfand",)),
         (["-m", "cstarlab", "classify", *ARGV], ("spectral",)),
+        (["-m", "cstarlab", "quotient", *ARGV], ("ideals",)),
     ],
-    ids=["import-cli", "from-cstarlab-import-cli", "spectrum", "characters", "classify"],
+    ids=["import-cli", "from-cstarlab-import-cli", "spectrum", "characters", "classify",
+         "quotient"],
 )
 def test_cli_loads_no_module_its_command_does_not_run(args, loads):
     imported = _imported(*args)
