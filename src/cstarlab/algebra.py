@@ -171,8 +171,6 @@ class FunctionAlgebra(CommutativeAlgebra):
         return f"C({{{','.join(self.space.points)}}})"
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         return isinstance(other, FunctionAlgebra) and self.space == other.space
 
     def __hash__(self) -> int:
@@ -290,8 +288,6 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         return element, residual
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         return (
             isinstance(other, NormalGeneratorAlgebra)
             and np.array_equal(self.generator, other.generator)

@@ -168,7 +168,9 @@ def _element_rows(a: AlgebraElement) -> tuple[dict, str, np.ndarray]:
 
 
 def dump_element(a: AlgebraElement) -> dict:
-    """Serialize an element back into a document of the matching kind."""
+    """Serialize an element back into a document of the matching kind: the
+    byte oracle of :func:`write_element`, kept in the package because the
+    benchmark traces it as ``interchange.dump``."""
     doc, key, rows = _element_rows(a)
     doc[key] = complex_pairs(rows)
     return doc

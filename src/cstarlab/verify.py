@@ -3,7 +3,10 @@
 ``LAWS`` is the registry: an ordered list of ``(name, run)`` pairs with
 ``run(rng, tol, max_size) -> list[CheckRecord]``.  ``_law`` builds each
 ``run`` from ``count(max_size)`` and a generator ``sample(rng, tol,
-max_size, i)`` that draws instance ``i`` and yields its records.
+max_size, i)`` that draws instance ``i`` and yields its records.  A law on
+one algebra is a check half ``checks(rng, tol, algebra, name)`` that yields
+the records of any algebra it is given; ``_on_algebra`` registers it with a
+``sample`` that draws ``random_algebra`` and names it ``"<describe()> #i"``.
 
 Each law draws from its own generator, keyed by the seed and the law's
 name, so its records depend only on (seed, name, tol, max_size) and a law
@@ -110,6 +113,20 @@ def _law(name: str, count: Callable[[int], int]) -> Callable[..., Run]:
     return register
 
 
+def _on_algebra(name: str, count: Callable[[int], int]) -> Callable[..., Callable]:
+    """Register ``checks`` through :func:`_law` on drawn algebras; return it."""
+
+    def register(checks: Callable[..., Iterator[CheckRecord]]) -> Callable:
+        @_law(name, count)
+        def sample(rng, tol, max_size, i):
+            algebra = random_algebra(rng, max_size)
+            yield from checks(rng, tol, algebra, f"{algebra.describe()} #{i}")
+
+        return checks
+
+    return register
+
+
 def _scaled(max_size: int) -> int:
     return 6 + 2 * max_size
 
@@ -131,42 +148,35 @@ def _fold(law: str, report: EquivalenceReport, suffix: str = "") -> CheckRecord:
     return CheckRecord(law, report.subject + suffix, report.max_defect, report.passed)
 
 
-@_law("cstar_identity", _scaled)
-def law_cstar_identity(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("cstar_identity", _scaled)
+def law_cstar_identity(rng, tol, algebra, name):
     a = random_element(rng, algebra, magnitude=float(rng.uniform(0.1, 3.0)))
     n = a.norm()
     defect = abs((a.star() * a).norm() - n * n)
-    name = f"{algebra.describe()} #{i}"
     yield check("cstar_identity", name, defect, 1e-12 * (1.0 + n * n))
 
 
-@_law("norm_laws", _scaled)
-def law_norm_laws(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("norm_laws", _scaled)
+def law_norm_laws(rng, tol, algebra, name):
     a = random_element(rng, algebra, magnitude=2.0)
     b = random_element(rng, algebra, magnitude=2.0)
-    name = f"{algebra.describe()} #{i}"
     slack = max(0.0, (a * b).norm() - a.norm() * b.norm())
     yield check("submultiplicative", name, slack, 1e-12 * (1.0 + a.norm() * b.norm()))
 
 
-@_law("geometric_series", _fixed(12))
-def law_geometric_series(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("geometric_series", _fixed(12))
+def law_geometric_series(rng, tol, algebra, name):
     a = random_element(rng, algebra)
     a = (float(rng.uniform(0.05, 0.9)) / a.norm()) * a
     s, report = neumann_inverse(a, tol=1e-10, max_terms=4000)
-    name = f"{algebra.describe()} #{i}"
     excess = max(0.0, report.residual - report.a_priori_bound)
     yield check("neumann_tail_bound", name, excess, 1e-12)
     oracle = invert(algebra.unit() - a)
     yield check("neumann_matches_inverse", name, (s - oracle).norm(), 1e-8)
 
 
-@_law("perturbation", _fixed(12))
-def law_perturbation(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("perturbation", _fixed(12))
+def law_perturbation(rng, tol, algebra, name):
     a = random_invertible_element(rng, algebra)
     a_inv = invert(a)
     inv_norm = a_inv.norm()
@@ -174,7 +184,6 @@ def law_perturbation(rng, tol, max_size, i):
     delta = random_element(rng, algebra)
     delta = (float(rng.uniform(0.1, 0.9)) * radius / delta.norm()) * delta
     b = a + delta
-    name = f"{algebra.describe()} #{i}"
     yield check("inversion_open", name, 0.0 if is_invertible(b) else 1.0, 0.0)
     series = perturbation_inverse(a, b, tol=1e-10, max_terms=4000)
     defect = (series - invert(b)).norm()
@@ -187,15 +196,13 @@ def law_perturbation(rng, tol, max_size, i):
     yield check("inversion_continuity", name, (invert(c) - a_inv).norm(), eps)
 
 
-@_law("resolvent_series", _fixed(10))
-def law_resolvent_series(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("resolvent_series", _fixed(10))
+def law_resolvent_series(rng, tol, algebra, name):
     a = random_element(rng, algebra)
     lam = 2.0 * a.norm() * np.exp(1j * float(rng.uniform(0, 2 * np.pi)))
     direct = resolvent(a, lam)
     series_core, _ = neumann_inverse((1.0 / lam) * a, tol=1e-13, max_terms=4000)
     series = (1.0 / lam) * series_core
-    name = f"{algebra.describe()} #{i}"
     yield check("resolvent_series", name, (direct - series).norm(), 1e-9)
 
 
@@ -212,29 +219,24 @@ def law_spectral_mapping(rng, tol, max_size, i):
     yield check("spectral_mapping", name, defect, tol)
 
 
-@_law("spectral_radius", _scaled)
-def law_spectral_radius(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("spectral_radius", _scaled)
+def law_spectral_radius(rng, tol, algebra, name):
     a = random_element(rng, algebra, magnitude=float(rng.uniform(0.2, 4.0)))
     exact = spectral_radius_exact(a)
     estimate = spectral_radius_limit(a, n_max=20)
-    name = f"{algebra.describe()} #{i}"
     yield check("radius_limit", name, abs(estimate.estimate - exact), 1e-6)
 
 
-@_law("gelfand", _scaled)
-def law_gelfand(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("gelfand", _scaled)
+def law_gelfand(rng, tol, algebra, name):
     a = random_element(rng, algebra, magnitude=2.0)
-    name = f"{algebra.describe()} #{i}"
     char_values = [chi(a) for chi in characters(algebra)]
     defect = hausdorff_distance(spectrum(a, tol).points, char_values)
     yield check("spectrum_is_character_set", name, defect, tol)
 
 
-@_law("characters", _fixed(10))
-def law_characters(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("characters", _fixed(10))
+def law_characters(rng, tol, algebra, name):
     a = random_element(rng, algebra, magnitude=2.0)
     b = random_element(rng, algebra, magnitude=2.0)
     scale = 1.0 + a.norm() * b.norm()
@@ -243,7 +245,6 @@ def law_characters(rng, tol, max_size, i):
     for chi in characters(algebra):
         mult = max(mult, abs(chi(ab) - chi(a) * chi(b)))
         contraction = max(contraction, abs(chi(a)) - a.norm())
-    name = f"{algebra.describe()} #{i}"
     yield check("character_multiplicative", name, mult, 1e-12 * scale)
     # scalar abs and the vectorized modulus inside norm() may differ by
     # one ulp, so the contraction is exact only up to rounding
@@ -381,17 +382,16 @@ _DISTANCES = {
 }
 
 
-@_law("classification", _fixed(6))
-def law_classification(rng, tol, max_size, i):
-    algebra = random_algebra(rng, max_size)
+@_on_algebra("classification", _fixed(6))
+def law_classification(rng, tol, algebra, name):
     for cls, make in _MAKERS.items():
         a = algebra._fresh(make(rng, algebra.dim))
         report = classify_element(a, tol)
-        name = f"{cls} in {algebra.describe()} #{i}"
-        yield check("classification_flag", name, report.witness_tolerances[cls], tol)
+        at = f"{cls} in {name}"
+        yield check("classification_flag", at, report.witness_tolerances[cls], tol)
         distance = _DISTANCES[cls]
         containment = max(distance(complex(p)) for p in spectrum(a, tol).points)
-        yield check("classification_spectrum", name, containment, tol)
+        yield check("classification_spectrum", at, containment, tol)
 
 
 @_law("norm_uniqueness", _fixed(10))

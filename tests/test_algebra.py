@@ -611,6 +611,9 @@ def test_algebras_built_separately_from_one_matrix_interoperate():
     signed = make_normal_generator_algebra(np.array([[1.0, -0.0], [-0.0, 1.0]]))
     plain = make_normal_generator_algebra(np.eye(2))
     assert signed == plain and hash(signed) == hash(plain)
+    # __eq__ takes no identity shortcut: each model equals itself on its data
+    F = make_function_algebra(("p", "q"))
+    assert A == A and F == F and F == make_function_algebra(("p", "q"))
 
 
 def test_different_generators_are_different_algebras():

@@ -1,5 +1,6 @@
 """The law registry: its outside interface, a law's power to fail, summaries."""
 
+import json
 from collections import Counter
 from types import SimpleNamespace
 
@@ -20,6 +21,8 @@ from cstarlab import (
 )
 from cstarlab.algebra import CommutativeAlgebra
 from cstarlab.ideals import Ideal, zariski_V
+from cstarlab.interchange import complex_pairs, load_document
+from cstarlab.sampling import random_algebra, random_unitary
 from cstarlab.verify import CheckRecord, run_suite, summarize
 
 LAW_NAMES = [
@@ -117,6 +120,61 @@ def test_walking_the_registry_reproduces_run_suite(seed):
     rng.uniform(size=7)
     for name, run in verify.LAWS:
         assert run(rng, 1e-9, 3) == by_law[name], name
+
+
+# the laws registered by _on_algebra, with their instance counts at max_size 3
+ON_ALGEBRA = {
+    "cstar_identity": 12,
+    "norm_laws": 12,
+    "geometric_series": 12,
+    "perturbation": 12,
+    "resolvent_series": 10,
+    "spectral_radius": 12,
+    "gelfand": 12,
+    "characters": 10,
+    "classification": 6,
+}
+
+
+def test_check_halves_run_on_a_document_algebra():
+    rng = np.random.default_rng(3)
+    U = random_unitary(rng, 16)
+    N = (U * (rng.uniform(-2, 2, 16) + 1j * rng.uniform(-2, 2, 16))) @ U.conj().T
+    values = rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)
+    documents = [
+        {"kind": "normal_matrix", "n": 16, "entries": complex_pairs(N)},
+        {
+            "kind": "function_algebra",
+            "points": [f"x{k}" for k in range(12)],
+            "values": complex_pairs(values),
+        },
+    ]
+    for doc in documents:
+        algebra = load_document(json.dumps(doc)).algebra
+        for law in ON_ALGEBRA:
+            checks = getattr(verify, f"law_{law}")
+            records = list(checks(np.random.default_rng(1), 1e-9, algebra, "document #0"))
+            assert records and all(r.passed for r in records), (doc["kind"], law)
+            assert list(dict.fromkeys(r.law for r in records)) == RECORD_NAMES[law]
+            assert all(r.instance.endswith("document #0") for r in records)
+
+
+def test_a_tracer_sees_every_draw_of_the_registrar(monkeypatch):
+    # perfbench wraps sampling functions by replacing module attributes, so
+    # the registrar must look random_algebra up when it draws
+    runs = dict(verify.LAWS)
+    plain = {law: runs[law](np.random.default_rng(0), 1e-9, 3) for law in ON_ALGEBRA}
+    draws = []
+
+    def counted(rng, max_size):
+        draws.append(max_size)
+        return random_algebra(rng, max_size)
+
+    monkeypatch.setattr(verify, "random_algebra", counted)
+    for law, count in ON_ALGEBRA.items():
+        draws.clear()
+        assert runs[law](np.random.default_rng(0), 1e-9, 3) == plain[law], law
+        assert draws == [3] * count, law
 
 
 def zariski(max_size):
