@@ -18,13 +18,15 @@ it converts, checks the length, copies and checks finiteness.  Every array
 the package builds itself has the right length by construction, so
 ``_fresh`` wraps it and only checks finiteness (an overflow or a NaN still
 raises :class:`NonFinite`); ``interchange`` checks a document's values
-itself and hands the new array to ``_fresh`` too.  Every element's array is
-read-only, which lets the Gelfand transform share it instead of copying
-it.  Five kinds of array are finite by construction and skip ``_fresh``:
-the indicators, the duality verifier's blocks of stars and of each member's
-products of its family (every family value has modulus at most 1), the
-probe of ``duality.mu`` (the values 1, ..., n), and the coordinates that
-the Gelfand transform and its inverse share with their argument.
+itself and hands the new array to ``_fresh`` too.  A raw matrix enters at
+``_matrix_entry``, for construction, ``project_matrix`` and
+``operator_norm``.  Every element's array is read-only, which lets the
+Gelfand transform share it instead of copying it.  Five kinds of array are
+finite by construction and skip ``_fresh``: the indicators, the duality
+verifier's blocks of stars and of each member's products of its family
+(every family value has modulus at most 1), the probe of ``duality.mu``
+(the values 1, ..., n), and the coordinates that the Gelfand transform and
+its inverse share with their argument.
 """
 
 from __future__ import annotations
@@ -189,17 +191,12 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
     """
 
     def __init__(self, matrix):
-        M = np.asarray(matrix, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-            raise ValueError("generator must be a square matrix with n >= 1")
-        if not np.all(np.isfinite(M)):
-            raise NonFinite("generator entries must be finite")
-        n = M.shape[0]
-        # Everything below works on Ms = M 2^-k (see _power_of_two_scaled), in
+        # Everything below works on Ms = M 2^-k (see _matrix_entry), in
         # units of 2^k; scaling by a power of two is exact, so each verdict
         # is the unscaled one wherever the unscaled arithmetic stayed in range,
         # and the cluster gap and the merge cutoff scale with M.
-        k, Ms = _power_of_two_scaled(M)
+        M, k, Ms = _matrix_entry(matrix, "generator")
+        n = M.shape[0]
         # Ms = H + iK with H, K Hermitian: Ms Ms* - Ms* Ms = 2i (X* - X), X = HK
         H = (Ms + Ms.conj().T) / 2
         X = H @ ((Ms - Ms.conj().T) / 2j)
@@ -274,7 +271,7 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         Returns the element together with the Frobenius residual; a residual
         at machine scale certifies membership.
         """
-        A = np.asarray(matrix, dtype=complex)
+        A, _, _ = _matrix_entry(matrix, "matrix")
         if A.shape != (self.dimension_n, self.dimension_n):
             raise ValueError("matrix has the wrong shape for this algebra")
         U = self.eigenvectors
@@ -297,16 +294,23 @@ class NormalGeneratorAlgebra(CommutativeAlgebra):
         return hash(("NormalGeneratorAlgebra", self.generator.tobytes()))
 
 
-def _power_of_two_scaled(M: np.ndarray) -> tuple[int, np.ndarray]:
-    """k with 2^k above every |Re| and |Im| of M, and Ms = M 2^-k.
+def _matrix_entry(matrix, noun: str) -> tuple[np.ndarray, int, np.ndarray]:
+    """The one entry for a raw matrix: M, k and Ms = M 2^-k.
 
-    The largest entry of Ms is near 1, so no product of two matrices like
-    Ms overflows and none underflows unless it is negligible next to
-    |Ms|^2.  k >= -1022 keeps 2^-k finite.
+    M is ``matrix`` as a complex array, checked square with n >= 1 and finite
+    (``noun`` names it in the message); 2^k is above every |Re| and |Im| of M.
+    The largest entry of Ms is near 1, so no product of two matrices like Ms
+    overflows and none underflows unless it is negligible next to |Ms|^2.
+    k >= -1022 keeps 2^-k finite.
     """
+    M = np.asarray(matrix, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
+        raise ValueError(f"{noun} must be a square matrix with n >= 1")
+    if not np.all(np.isfinite(M)):
+        raise NonFinite(f"{noun} entries must be finite")
     top = np.abs(M.ravel(order="K").view(np.float64)).max()  # largest |Re|, |Im|
     k = max(-1022, math.frexp(top)[1])
-    return k, M * 2.0**-k
+    return M, k, M * 2.0**-k
 
 
 def _joint_diagonalize(M: np.ndarray, w: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, ...]:

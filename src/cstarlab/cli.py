@@ -100,6 +100,10 @@ def run(config: RunConfig, out=None) -> int:
         return _fail(f"--max-size must be at most {MAX_VERIFY_SIZE}")
     if config.input_path is not None and config.inline is not None:
         return _fail("give one of --input and --inline, not both")
+    if config.command == "calculus" and not config.coefficients:
+        return _fail("calculus needs --coeffs (ascending, e.g. '1,0,2')")
+    if config.command == "quotient" and not config.zero_set:
+        return _fail("quotient needs --zero-set (labels, e.g. 'p,q')")
 
     if config.command == "verify":
         return _cmd_verify(config, out)
@@ -191,8 +195,6 @@ def _cmd_characters(config: RunConfig, element, out) -> int:
 
 
 def _cmd_calculus(config: RunConfig, element, out) -> int:
-    if not config.coefficients:
-        return _fail("calculus needs --coeffs (ascending, e.g. '1,0,2')")
     from .spectral import apply_polynomial, spectrum
     result = apply_polynomial(config.coefficients, element)
     points = spectrum(result, config.tol).points
@@ -207,8 +209,6 @@ def _cmd_calculus(config: RunConfig, element, out) -> int:
 
 def _cmd_quotient(config: RunConfig, element, out) -> int:
     from .ideals import ideal_from_closed_set, quotient
-    if not config.zero_set:
-        return _fail("quotient needs --zero-set (labels, e.g. 'p,q')")
     algebra = element.algebra
     ideal = ideal_from_closed_set(algebra, config.zero_set)
     q, projection = quotient(algebra, ideal)

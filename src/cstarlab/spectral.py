@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, _power_of_two_scaled
+from .algebra import AlgebraElement, _matrix_entry
 from .errors import (
     DomainError,
     NonFinite,
@@ -306,16 +306,11 @@ def operator_norm(matrix) -> float:
 
     By the C*-identity ||M||^2 = ||M* M||, and M* M is Hermitian, so its
     norm is its largest eigenvalue: one Hermitian eigenvalue solve, no SVD.
-    It is taken on Ms* Ms, Ms = M 2^-k with its largest entry near 1 (as
-    construction scales a generator), so the product neither overflows nor
-    underflows, and 2^k times the root is relative to ||M|| at every scale.
+    It is taken on Ms* Ms, Ms = M 2^-k with its largest entry near 1 (from
+    ``_matrix_entry``, as for a generator), so the product neither overflows
+    nor underflows, and 2^k times the root is relative to ||M|| at every scale.
     """
-    M = np.asarray(matrix, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-        raise ValueError("operator_norm expects a square matrix")
-    if not np.all(np.isfinite(M)):
-        raise NonFinite("matrix entries must be finite")
-    k, Ms = _power_of_two_scaled(M)
+    _, k, Ms = _matrix_entry(matrix, "matrix")
     top = np.linalg.eigvalsh(Ms.conj().T @ Ms)[-1]
     return math.ldexp(math.sqrt(max(0.0, top)), k)
 

@@ -119,6 +119,19 @@ def test_quotient_without_zero_set_is_a_usage_error(capsys):
     assert "--zero-set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [{"input_path": "/no/such/file.json"}, {"inline": "not json"}])
+@pytest.mark.parametrize("command, option", [("calculus", "--coeffs"), ("quotient", "--zero-set")])
+def test_a_missing_required_option_is_named_before_the_input_is_read(
+    command, option, source, monkeypatch, capsys
+):
+    def unread(config):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "_load_input", unread)
+    assert run_cli(command=command, **source) == (2, "")
+    assert option in capsys.readouterr().err
+
+
 def test_unknown_command_and_bad_flags(capsys):
     assert run_cli(command="mystify")[0] == 2
     assert run_cli(command="spectrum", inline=FUNC, output_format="yaml")[0] == 2

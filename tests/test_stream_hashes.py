@@ -42,7 +42,7 @@ def test_against_names_each_stream_that_differs(tool, tmp_path, monkeypatch, cap
     listing = "\n".join(theirs)
     (tmp_path / "tools" / "stream_hashes.py").write_text(f"print({listing!r})\n")
 
-    monkeypatch.setattr(tool, "_lines", lambda drop: iter(ours))
+    monkeypatch.setattr(tool, "_lines", lambda drop, save: iter(ours))
     assert tool.main(["--against", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
@@ -52,7 +52,7 @@ def test_against_names_each_stream_that_differs(tool, tmp_path, monkeypatch, cap
     ]
     assert captured.err == "3 of 4 streams differ\n"
 
-    monkeypatch.setattr(tool, "_lines", lambda drop: iter(theirs))
+    monkeypatch.setattr(tool, "_lines", lambda drop, save: iter(theirs))
     assert tool.main(["--against", str(tmp_path)]) == 0
     assert capsys.readouterr().out == ""
 
@@ -82,7 +82,7 @@ def test_against_then_names_each_pinned_entry_that_differs(tool, tmp_path, monke
     listing = "\n".join(theirs)
     (tmp_path / "tools" / "stream_hashes.py").write_text(f"print({listing!r})\n")
 
-    monkeypatch.setattr(tool, "_lines", lambda drop: iter(ours))
+    monkeypatch.setattr(tool, "_lines", lambda drop, save: iter(ours))
     assert tool.main(["--against", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     # a pin is a prefix of the hash of stdout, so an exit code alone moves none
@@ -98,13 +98,79 @@ def test_against_then_names_each_pinned_entry_that_differs(tool, tmp_path, monke
     assert captured.err == "5 of 6 streams differ\n"
 
 
+# the other tool writes each stream to the directory that the environment
+# names, in the file named by its hash, as the tool itself does
+CHILD = """\
+import hashlib, os, pathlib
+for name, stream in {streams!r}:
+    digest = hashlib.sha256(stream).hexdigest()
+    pathlib.Path(os.environ["STREAM_HASHES_SAVE"], digest).write_bytes(stream)
+    print(digest + "  " + name)
+"""
+
+
+def test_against_shows_the_first_differing_line_and_the_records_that_differ(
+    tool, tmp_path, monkeypatch, capsys
+):
+    structured = "verify structured seed=5 max_size=2 exit=0"
+    text = "verify text seed=5 max_size=2 exit=1"
+    theirs = [
+        ("same", b"x\n"),
+        (structured, b'{"law": "a", "d": 0}\n{"law": "b", "d": 1}\n'
+                     b'{"kind": "summary", "law": "b"}\n'),
+        (text, b"a: pass\nb: FAIL\n  first failing instance: x\n1/2 laws verified\n"),
+        ("construction seed=5", b"\x00\x01" + b"A" * 300),
+    ]
+    ours = [
+        ("same", b"x\n"),
+        (structured, b'{"law": "a", "d": 0}\n{"law": "b", "d": 2}\n{"law": "c", "d": 0}\n'
+                     b'{"kind": "summary", "law": "b"}\n'),
+        (text, b"a: pass\nb: FAIL\n  first failing instance: y\n1/2 laws verified\n"),
+        ("construction seed=5", b"\x00\x02" + b"A" * 300),
+    ]
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "stream_hashes.py").write_text(CHILD.format(streams=theirs))
+    monkeypatch.setattr(tool, "_named_streams", lambda drop: iter(ours))
+    assert tool.main(["--against", str(tmp_path)]) == 1
+    assert capsys.readouterr() == (
+        "\n".join([
+            structured,
+            '  - {"law": "b", "d": 1}',
+            '  + {"law": "b", "d": 2}',
+            "  b: -1 +1",
+            "  c: -0 +1",
+            text,
+            "  -   first failing instance: x",
+            "  +   first failing instance: y",
+            "  b: -1 +1",
+            "construction seed=5",
+            "  - \\x00\\x01" + "A" * 192,
+            "  + \\x00\\x02" + "A" * 192,
+        ]) + "\n",
+        "3 of 4 streams differ\n",
+    )
+
+
+def test_the_variable_makes_the_tool_write_each_stream_under_its_hash(
+    tool, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv(tool.SAVE, str(tmp_path))
+    monkeypatch.setattr(tool, "_named_streams", lambda drop: iter([("one", b"1"), ("two", b"2")]))
+    assert tool.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines] == ["one", "two"]
+    assert [(tmp_path / line[:64]).read_bytes() for line in lines] == [b"1", b"2"]
+
+
 def test_against_passes_drop_on_to_the_other_tool(tool, tmp_path, monkeypatch, capsys):
     # each side names its one stream after the options it was given
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "stream_hashes.py").write_text(
         "import sys; print('a' * 64 + '  ' + ' '.join(sys.argv[1:]))\n"
     )
-    monkeypatch.setattr(tool, "_lines", lambda drop: iter(["a" * 64 + "  --drop " + " ".join(drop)]))
+    monkeypatch.setattr(
+        tool, "_lines", lambda drop, save: iter(["a" * 64 + "  --drop " + " ".join(drop)])
+    )
     assert tool.main(["--against", str(tmp_path), "--drop", "x", "y"]) == 0
     assert capsys.readouterr() == ("", "0 of 1 streams differ\n")
 

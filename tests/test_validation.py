@@ -18,6 +18,7 @@ from cstarlab import (
     InvalidPointMap,
     InvalidSpace,
     InvalidSubset,
+    NonFinite,
     SpaceMismatch,
     StarHomomorphism,
     apply_function,
@@ -154,7 +155,9 @@ ROWS = {
         lambda: hausdorff_distance([], [1]), ValueError, "needs nonempty sets"
     ),
     "opnorm-not-square": (
-        lambda: operator_norm(np.ones((2, 3))), ValueError, "expects a square matrix"
+        lambda: operator_norm(np.ones((2, 3))),
+        ValueError,
+        "matrix must be a square matrix with n >= 1",
     ),
     "radius-negative-steps": (
         lambda: spectral_radius_limit(A.unit(), n_max=-1),
@@ -178,6 +181,29 @@ ROWS = {
 def test_bad_call_raises(call, exception, message):
     with pytest.raises(exception, match=message):
         call()
+
+
+# a raw matrix enters through one check, whichever function takes it: a bad
+# shape is a plain ValueError and a non-finite entry is NonFinite, each with
+# the wording of that check (the matrix is named "generator" or "matrix")
+MALFORMED_MATRICES = {
+    "3-d": (np.ones((2, 2, 2)), ValueError, "must be a square matrix with n >= 1"),
+    "2x3": (np.ones((2, 3)), ValueError, "must be a square matrix with n >= 1"),
+    "0x0": (np.ones((0, 0)), ValueError, "must be a square matrix with n >= 1"),
+    "nan": ([[1.0, np.nan], [0.0, 1.0]], NonFinite, "entries must be finite"),
+    "inf": ([[np.inf, 0.0], [0.0, 1.0]], NonFinite, "entries must be finite"),
+    "-inf+1j": ([[1.0, 0.0], [0.0, complex(-np.inf, 1.0)]], NonFinite, "entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("matrix, exception, message", MALFORMED_MATRICES.values(),
+                         ids=MALFORMED_MATRICES.keys())
+@pytest.mark.parametrize("entry", [make_normal_generator_algebra, operator_norm, N.project_matrix],
+                         ids=["construction", "operator_norm", "project_matrix"])
+def test_every_matrix_entry_rejects_a_malformed_matrix_alike(entry, matrix, exception, message):
+    with pytest.raises(ValueError, match=message) as info:
+        entry(matrix)
+    assert type(info.value) is exception
 
 
 # every check that two operands share one algebra, outside element arithmetic:

@@ -59,6 +59,14 @@ has, then each entry of ``tests/test_cli.py`` whose stream differs, as
 ``structured (0, 4)`` for a ``GOLDEN_VERIFY_STREAMS`` key, ``text (0, 4)``
 for a ``GOLDEN_VERIFY_TEXT_STREAMS`` key and ``spectrum matrix structured``
 for a ``GOLDEN_DATA_STREAMS`` key.  It exits 1 if any stream differs.
+Under each stream that differs it prints the first differing line (split
+at each newline byte) of DIR's side (``- ``) and of this one (``+ ``),
+escaped as in a bytes repr and cut to 200 characters; under a ``verify``
+stream it then prints each record name whose lines differ, as ``name: -old
++new`` line counts (a witness line goes with the law above it; the count
+line is ``-``).  The child writes each stream to the directory named by
+``STREAM_HASHES_SAVE``, in the file named by its hash; an older tool hands
+back hashes only.
 
 ``--drop NAME ...`` makes each ``verify`` stream the one ``cli.run`` prints
 when the records whose ``CheckRecord.law`` is one of the names are left out
@@ -71,6 +79,7 @@ its new names are dropped.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -80,6 +89,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # One BLAS thread before numpy loads: the n = 256 generators' eigenvectors
@@ -127,6 +137,7 @@ DOCUMENT_DIMS = (64, 256)
 REPEATED_DISTINCT = 32
 REPORT_SIZES = range(1, 13)
 REPORT_SEEDS = range(12)
+SAVE = "STREAM_HASHES_SAVE"
 
 
 def _golden_cli_module():
@@ -341,17 +352,24 @@ def _run(config, drop=()) -> tuple[str, int]:
     return out.getvalue(), code
 
 
-def _lines(drop):
-    """Every ``sha256  name`` line, in a fixed order."""
+def _named_streams(drop):
+    """(name, bytes) for every stream, in a fixed order."""
     for name, config in _streams():
         text, code = _run(config, drop)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        yield f"{digest}  {name} exit={code}"
-    streams = itertools.chain(
+        yield f"{name} exit={code}", text.encode()
+    yield from itertools.chain(
         _series_streams(), _spectrum_streams(), _report_streams(), _construction_streams()
     )
-    for name, stream in streams:
-        yield f"{hashlib.sha256(stream).hexdigest()}  {name}"
+
+
+def _lines(drop, save=None):
+    """Every ``sha256  name`` line, in a fixed order; each stream is also
+    written to the directory ``save``, if given, in the file named by its hash."""
+    for name, stream in _named_streams(drop):
+        digest = hashlib.sha256(stream).hexdigest()
+        if save:
+            Path(save, digest).write_bytes(stream)
+        yield f"{digest}  {name}"
 
 
 def _by_name(lines) -> dict[str, str]:
@@ -382,31 +400,64 @@ def _pins(theirs: dict[str, str], ours: dict[str, str]) -> None:
             print(f"{label}: {old} -> {new}")
 
 
+def _laws(lines):
+    """(record name, line) for each line of a ``verify`` stream."""
+    law = "-"
+    for line in lines:
+        if line.startswith(b"{"):
+            law = json.loads(line)["law"]
+        elif not line.startswith(b" "):
+            law = line.split(b": ", 1)[0].decode() if b": " in line else "-"
+        yield law, line
+
+
+def _show(name: str, old: Path, new: Path) -> None:
+    """Under a stream that differs, its first differing line on each side and,
+    for ``verify``, the lines of each record name that differ."""
+    if not old.exists():  # DIR's tool predates STREAM_HASHES_SAVE
+        return
+    sides = [path.read_bytes().split(b"\n") for path in (old, new)]
+    first = next(i for i, (a, b) in enumerate(itertools.zip_longest(*sides)) if a != b)
+    for mark, lines in zip("-+", sides):
+        line = repr(lines[first])[2:-1] if first < len(lines) else "(no such line)"
+        print(f"  {mark} {line[:200]}")
+    if name.startswith("verify "):
+        old_laws, new_laws = (collections.Counter(_laws(lines)) for lines in sides)
+        gone = collections.Counter(law for law, _ in (old_laws - new_laws).elements())
+        came = collections.Counter(law for law, _ in (new_laws - old_laws).elements())
+        for law in sorted(gone.keys() | came.keys()):
+            print(f"  {law}: -{gone[law]} +{came[law]}")
+
+
 def _against(other: Path, drop) -> int:
-    """Print each stream that differs from the checkout at ``other``, then each
-    pinned entry that does; 1 if any stream differs.  Both sides drop ``drop``."""
-    proc = subprocess.run(
-        [sys.executable, str(other / "tools" / "stream_hashes.py")]
-        + (["--drop", *drop] if drop else []),
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode:
-        print(f"the tool of {other} failed:\n{proc.stderr}", end="", file=sys.stderr)
-        return 2
-    theirs = _by_name(proc.stdout.splitlines())
-    ours = _by_name(_lines(drop))
-    differ = 0
-    for name in [*ours, *(name for name in theirs if name not in ours)]:
-        if name not in theirs:
-            print(f"{name}  (only here)")
-        elif name not in ours:
-            print(f"{name}  (only in {other})")
-        elif ours[name] != theirs[name]:
-            print(name)
-        else:
-            continue
-        differ += 1
+    """Print each stream that differs from the checkout at ``other``, with its
+    lines that do, then each pinned entry that does; 1 if any stream differs.
+    Both sides drop ``drop``."""
+    with tempfile.TemporaryDirectory() as save:
+        proc = subprocess.run(
+            [sys.executable, str(other / "tools" / "stream_hashes.py")]
+            + (["--drop", *drop] if drop else []),
+            capture_output=True,
+            text=True,
+            env={**os.environ, SAVE: save},
+        )
+        if proc.returncode:
+            print(f"the tool of {other} failed:\n{proc.stderr}", end="", file=sys.stderr)
+            return 2
+        theirs = _by_name(proc.stdout.splitlines())
+        ours = _by_name(_lines(drop, save))
+        differ = 0
+        for name in [*ours, *(name for name in theirs if name not in ours)]:
+            if name not in theirs:
+                print(f"{name}  (only here)")
+            elif name not in ours:
+                print(f"{name}  (only in {other})")
+            elif ours[name] != theirs[name]:
+                print(name)
+                _show(name, Path(save, theirs[name]), Path(save, ours[name]))
+            else:
+                continue
+            differ += 1
     _pins(theirs, ours)
     print(f"{differ} of {len(ours.keys() | theirs.keys())} streams differ", file=sys.stderr)
     return 1 if differ else 0
@@ -430,7 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.against is not None:
         return _against(args.against, args.drop)
-    for line in _lines(args.drop):
+    for line in _lines(args.drop, os.environ.get(SAVE)):
         print(line)
     return 0
 
